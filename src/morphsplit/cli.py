@@ -5,7 +5,9 @@ Subcommands cover single-step utilities (``synth``, ``split``, ``train``,
 (``experiment``, ``resume``, ``report``).
 
 ``experiment`` reads an optional flat ``key = value`` config file whose keys
-mirror :class:`~morphsplit.runner.RunConfig` fields; ``#`` starts a comment.
+are the :class:`~morphsplit.runner.RunConfig` field names; ``#`` starts a
+comment. Each field is also a flag: its name with dashes, except for the
+six spellings in ``_FLAG_OPTIONS``.
 Precedence per setting: command line flag, then the ``MORPHSPLIT_OUTPUT_DIR``
 environment variable (output directory only), then the config file, then the
 built-in default. List-valued keys are comma separated.
@@ -17,7 +19,7 @@ import argparse
 import csv
 import os
 import sys
-from fractions import Fraction
+from dataclasses import fields
 from pathlib import Path
 
 from .corpus import (
@@ -29,6 +31,7 @@ from .corpus import (
 from .errors import ConfigError, MorphsplitError, ParseError
 from .evaluation import F1_VARIANTS, AVERAGES, corpus_f1
 from .models import (
+    OPTIMIZERS,
     FeatureTemplate,
     SegmenterId,
     TrainConfig,
@@ -59,39 +62,28 @@ from .stats import fit_regression
 SPLIT_STRATEGIES = ("random", "adversarial", "heuristic")
 
 
-def _split_csv(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
-
-
-def _parse_fractions(text: str) -> tuple[Fraction, ...]:
-    return tuple(as_fraction(part) for part in _split_csv(text))
-
-
-_CONFIG_COERCERS = {
-    "corpus_paths": _split_csv,
-    "output_dir": str,
-    "fractions": _parse_fractions,
-    "samples_per_fraction": int,
-    "residual_splits": int,
-    "residual_ratio": parse_ratio,
-    "new_test_generations": _split_csv,
-    "residual_strategies": _split_csv,
-    "models": _split_csv,
-    "seeds_per_model": int,
-    "f1_variant": str,
-    "f1_average": str,
-    "collapse_epsilon": float,
-    "master_seed": int,
-    "adversarial_budget": int,
-    "parallelism": int,
-    "max_ngram": int,
-    "window": int,
-    "optimizer": str,
-    "max_iterations": int,
-    "convergence_tol": float,
-    "l2_lambda": float,
-    "unigram_smoothing": float,
+# What the RunConfig field types do not give: the flag where its spelling
+# differs from the field name, choices, and help text. Every field is both
+# an ``experiment`` flag and a config-file key, parsed by its field type.
+_FLAG_OPTIONS: dict[str, dict] = {
+    "corpus_paths": {"flag": "--corpus", "action": "append", "metavar": "PATH",
+                     "help": "corpus file (repeatable)"},
+    "output_dir": {"help": "run output directory"},
+    "fractions": {"help": "comma-separated new-test fractions"},
+    "residual_ratio": {"help": "train:eval ratio, e.g. 9:1"},
+    "new_test_generations": {"flag": "--generations",
+                             "help": "comma-separated new-test modes"},
+    "residual_strategies": {"flag": "--strategies",
+                            "help": "comma-separated residual strategies"},
+    "models": {"help": "comma-separated model specs"},
+    "f1_variant": {"choices": F1_VARIANTS},
+    "f1_average": {"flag": "--average", "choices": AVERAGES},
+    "adversarial_budget": {"flag": "--budget",
+                           "help": "adversarial swap-evaluation budget"},
+    "optimizer": {"choices": OPTIMIZERS},
+    "unigram_smoothing": {"flag": "--smoothing", "help": "unigram additive smoothing"},
 }
+_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
 def parse_config_file(path: str | Path) -> dict:
@@ -109,10 +101,10 @@ def parse_config_file(path: str | Path) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _CONFIG_COERCERS:
+        if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            kwargs[key] = _CONFIG_COERCERS[key](value)
+            kwargs[key] = RunConfig.parse_field(key, value)
         except MorphsplitError:
             raise
         except (ValueError, ZeroDivisionError) as exc:
@@ -128,32 +120,9 @@ def _experiment_config(args: argparse.Namespace) -> RunConfig:
     env_out = os.environ.get(OUTPUT_DIR_ENV)
     if env_out:
         kwargs["output_dir"] = env_out
-    flag_map = {
-        "corpus_paths": tuple(args.corpus) if args.corpus else None,
-        "output_dir": args.output_dir,
-        "fractions": _parse_fractions(args.fractions) if args.fractions else None,
-        "samples_per_fraction": args.samples_per_fraction,
-        "residual_splits": args.residual_splits,
-        "residual_ratio": parse_ratio(args.residual_ratio) if args.residual_ratio else None,
-        "new_test_generations": _split_csv(args.generations) if args.generations else None,
-        "residual_strategies": _split_csv(args.strategies) if args.strategies else None,
-        "models": _split_csv(args.models) if args.models else None,
-        "seeds_per_model": args.seeds_per_model,
-        "f1_variant": args.f1_variant,
-        "f1_average": args.average,
-        "collapse_epsilon": args.collapse_epsilon,
-        "master_seed": args.master_seed,
-        "adversarial_budget": args.budget,
-        "parallelism": args.parallelism,
-        "max_ngram": args.max_ngram,
-        "window": args.window,
-        "optimizer": args.optimizer,
-        "max_iterations": args.max_iterations,
-        "convergence_tol": args.convergence_tol,
-        "l2_lambda": args.l2_lambda,
-        "unigram_smoothing": args.smoothing,
-    }
-    kwargs.update({k: v for k, v in flag_map.items() if v is not None})
+    kwargs.update(
+        {key: getattr(args, key) for key in _CONFIG_KEYS if getattr(args, key) is not None}
+    )
     if "corpus_paths" not in kwargs:
         raise ConfigError("no corpus given (use --corpus or corpus_paths in the config file)")
     if "output_dir" not in kwargs:
@@ -164,32 +133,24 @@ def _experiment_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**kwargs)
 
 
+def _flag_type(key: str):
+    """argparse ``type`` for one RunConfig field; bad text is a usage error."""
+    def parse(text: str):
+        try:
+            return RunConfig.parse_field(key, text)
+        except (MorphsplitError, ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return parse
+
+
 def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat key = value config file")
-    sub.add_argument("--corpus", action="append", metavar="PATH",
-                     help="corpus file (repeatable)")
-    sub.add_argument("--output-dir", help="run output directory")
-    sub.add_argument("--fractions", help="comma-separated new-test fractions")
-    sub.add_argument("--samples-per-fraction", type=int)
-    sub.add_argument("--residual-splits", type=int)
-    sub.add_argument("--residual-ratio", help="train:eval ratio, e.g. 9:1")
-    sub.add_argument("--generations", help="comma-separated new-test modes")
-    sub.add_argument("--strategies", help="comma-separated residual strategies")
-    sub.add_argument("--models", help="comma-separated model specs")
-    sub.add_argument("--seeds-per-model", type=int)
-    sub.add_argument("--f1-variant", choices=F1_VARIANTS)
-    sub.add_argument("--average", choices=AVERAGES)
-    sub.add_argument("--collapse-epsilon", type=float)
-    sub.add_argument("--master-seed", type=int)
-    sub.add_argument("--budget", type=int, help="adversarial swap-evaluation budget")
-    sub.add_argument("--parallelism", type=int)
-    sub.add_argument("--max-ngram", type=int)
-    sub.add_argument("--window", type=int)
-    sub.add_argument("--optimizer", choices=("lbfgs", "gradient_descent"))
-    sub.add_argument("--max-iterations", type=int)
-    sub.add_argument("--convergence-tol", type=float)
-    sub.add_argument("--l2-lambda", type=float)
-    sub.add_argument("--smoothing", type=float, help="unigram additive smoothing")
+    for key in _CONFIG_KEYS:
+        options = dict(_FLAG_OPTIONS.get(key, {}))
+        flag = options.pop("flag", "--" + key.replace("_", "-"))
+        if "action" not in options:
+            options["type"] = _flag_type(key)
+        sub.add_argument(flag, dest=key, **options)
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -321,23 +282,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_regress(args: argparse.Namespace) -> int:
-    records = []
     with open(args.records, newline="", encoding="utf-8") as fh:
         data_lines = [line for line in fh if not line.startswith("#")]
-    for row in csv.DictReader(data_lines):
-        records.append(
-            {
-                "f1": float(row["f1"]),
-                "strategy": int(row["strategy"]),
-                "new_test_gen": int(row["new_test_gen"]),
-                "morpheme_overlap": float(row["morpheme_overlap"]),
-                "word_count_ratio": float(row["word_count_ratio"]),
-                "morph_per_word_ratio": float(row["morph_per_word_ratio"]),
-                "morph_type_per_word_ratio": float(row["morph_type_per_word_ratio"]),
-                "model_arch": row["model_arch"],
-            }
-        )
-    result = fit_regression(regression_records(records))
+    records = regression_records(csv.DictReader(data_lines))
+    result = fit_regression(records)
     print(f"n={result.n} dof={result.dof} r_squared={result.r_squared:.6g}")
     print(f"{'term':<42} {'beta':>12} {'se':>12} {'t':>10} {'p':>10} stars")
     for row in result.rows():
@@ -383,14 +331,14 @@ def build_parser() -> argparse.ArgumentParser:
                      help="boundary_logistic | crf | longest_match | "
                           "unigram_viterbi | external:CMD")
     sub.add_argument("--output", required=True, help="model JSON path")
-    sub.add_argument("--max-ngram", type=int, default=3)
-    sub.add_argument("--window", type=int, default=2)
-    sub.add_argument("--optimizer", choices=("lbfgs", "gradient_descent"),
-                     default="lbfgs")
-    sub.add_argument("--max-iterations", type=int, default=200)
-    sub.add_argument("--convergence-tol", type=float, default=1e-6)
-    sub.add_argument("--l2-lambda", type=float, default=0.1)
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--max-ngram", type=int, default=FeatureTemplate.max_ngram)
+    sub.add_argument("--window", type=int, default=FeatureTemplate.window)
+    sub.add_argument("--optimizer", choices=OPTIMIZERS, default=TrainConfig.optimizer)
+    sub.add_argument("--max-iterations", type=int, default=TrainConfig.max_iterations)
+    sub.add_argument("--convergence-tol", type=float,
+                     default=TrainConfig.convergence_tol)
+    sub.add_argument("--l2-lambda", type=float, default=TrainConfig.l2_lambda)
+    sub.add_argument("--seed", type=int, default=TrainConfig.seed)
     sub.add_argument("--smoothing", type=float, default=0.1)
     sub.add_argument("--workdir", help="working directory (external models)")
     sub.set_defaults(func=_cmd_train)

@@ -121,7 +121,11 @@ def corpus_f1(
         fp = sum(c[1] for c in counts)
         fn = sum(c[2] for c in counts)
         return _prf(tp, fp, fn)
-    triples = [_prf(*c) for c in counts]
+    return mean_triple([_prf(*c) for c in counts])
+
+
+def mean_triple(triples: Sequence[ScoreTriple]) -> ScoreTriple:
+    """Mean precision and mean recall, with their harmonic mean as F1."""
     p = sum(t.precision for t in triples) / len(triples)
     r = sum(t.recall for t in triples) / len(triples)
     return ScoreTriple.from_pr(p, r)
@@ -372,76 +376,6 @@ def score_variability(
     }
 
 
-@dataclass(frozen=True)
-class StratumStats:
-    """Aggregates for all cells sharing one (fraction, strategy) stratum."""
-
-    fraction: Fraction
-    residual_strategy: str
-    n_cells: int
-    mean_eval_f1: dict[str, float]
-    mean_new_f1: dict[str, float]
-    mean_abs_gap: dict[str, float]
-    consistency: float
-    sigma: dict[str, float]
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.consistency <= 1.0:
-            raise ValidationError("consistency must lie in [0, 1]")
-        if any(v < 0 for v in self.sigma.values()):
-            raise ValidationError("standard deviations must be >= 0")
-
-
-@dataclass(frozen=True)
-class AggregateReport:
-    """Per-stratum aggregates in fixed (fraction, strategy) order."""
-
-    variant: str
-    average: str
-    strata: tuple[StratumStats, ...]
-
-
-def aggregate(
-    results: Sequence[CellResult],
-    variant: str = "boundary",
-    average: str = "micro",
-) -> AggregateReport:
-    """Group cells by (fraction, residual strategy) and summarize each."""
-    if not results:
-        raise DomainError("aggregate needs at least one cell")
-    by_stratum: dict[tuple[Fraction, str], list[CellResult]] = {}
-    for r in results:
-        by_stratum.setdefault((r.fraction, r.residual_strategy), []).append(r)
-    strata = []
-    for (frac, strategy) in sorted(by_stratum, key=lambda k: (k[0], k[1])):
-        cells = sorted(by_stratum[(frac, strategy)], key=lambda c: c.cell_id)
-        models = cells[0].models()
-        mean_eval = {}
-        mean_new = {}
-        mean_gap = {}
-        sigma = {}
-        for m in models:
-            evals = [c.scores(variant, "eval")[m].f1 for c in cells]
-            news = [c.scores(variant, "new")[m].f1 for c in cells]
-            mean_eval[m] = sum(evals) / len(evals)
-            mean_new[m] = sum(news) / len(news)
-            mean_gap[m] = sum(abs(e - n) for e, n in zip(evals, news)) / len(evals)
-            sigma[m] = _population_sigma(news)
-        strata.append(
-            StratumStats(
-                fraction=frac,
-                residual_strategy=strategy,
-                n_cells=len(cells),
-                mean_eval_f1=mean_eval,
-                mean_new_f1=mean_new,
-                mean_abs_gap=mean_gap,
-                consistency=ranking_consistency(cells),
-                sigma=sigma,
-            )
-        )
-    return AggregateReport(variant=variant, average=average, strata=tuple(strata))
-
-
 def aggregate_rows(
     results: Sequence[CellResult], variant: str = "boundary"
 ) -> list[dict]:
@@ -460,6 +394,7 @@ def aggregate_rows(
     for strategy in sorted(by_strategy):
         cells = sorted(by_strategy[strategy], key=lambda c: c.cell_id)
         consistency = ranking_consistency(cells)
+        gaps = generalization_gap(cells, variant)
         for m in cells[0].models():
             evals = [c.scores(variant, "eval")[m].f1 for c in cells]
             news = [c.scores(variant, "new")[m].f1 for c in cells]
@@ -469,8 +404,7 @@ def aggregate_rows(
                     "residual_strategy": strategy,
                     "mean_eval_f1": sum(evals) / len(evals),
                     "mean_new_f1": sum(news) / len(news),
-                    "mean_abs_gap": sum(abs(e - n) for e, n in zip(evals, news))
-                    / len(evals),
+                    "mean_abs_gap": gaps[m].absolute,
                     "consistency": consistency,
                     "sigma": _population_sigma(news),
                 }

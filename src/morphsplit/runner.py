@@ -1,12 +1,15 @@
 """Experiment orchestration over the split grid.
 
-``run_experiment`` expands every (language, generation mode, residual
-strategy) combination into grid cells, trains each configured model
+A run expands every (language, generation mode, residual strategy)
+combination into grid cells, trains each configured model
 ``seeds_per_model`` times per cell, scores eval and new-test sets, persists
 one JSON artifact per cell, and emits per-language and pooled CSVs plus a
-resumable ledger. Cell computation is deterministic for a fixed master
-seed, so parallel schedules and reruns produce byte-identical CSVs; only
-the ledger's timing fields vary.
+resumable ledger. There is one run path: ``resume`` completes the cells a
+saved ledger lacks, and ``run_experiment`` is the same step from an empty
+ledger. ``report`` rewrites one report family through the same CSV
+writers. Cell computation is deterministic for a fixed master seed, so
+parallel schedules and reruns produce byte-identical CSVs; only the
+ledger's timing fields vary.
 
 Output layout under the run directory:
 
@@ -33,15 +36,16 @@ import json
 import logging
 import time
 import traceback
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from tempfile import TemporaryDirectory
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, get_type_hints
 
 from .corpus import Corpus, corpus_stats, parse_corpus
-from .errors import ConfigError, DomainError, LedgerError, SingularityError
+from .errors import ConfigError, DomainError, LedgerError, SingularityError, ValidationError
 from .evaluation import (
     AVERAGES,
     F1_VARIANTS,
@@ -50,8 +54,10 @@ from .evaluation import (
     ScoreTriple,
     aggregate_rows,
     corpus_f1,
+    mean_triple,
     morpheme_overlap,
     rank_models,
+    score_variability,
 )
 from .models import SegmenterId, TrainConfig, FeatureTemplate, segment_corpus, train_segmenter
 from .splitter import (
@@ -112,26 +118,16 @@ class RunConfig:
     unigram_smoothing: float = 0.1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "corpus_paths", tuple(str(p) for p in self.corpus_paths))
-        object.__setattr__(
-            self, "fractions", tuple(as_fraction(f) for f in self.fractions)
-        )
+        for name, kind in _FIELD_TYPES.items():
+            if kind in _ITEM_TYPES:
+                object.__setattr__(self, name, _decode(kind, getattr(self, name)))
         object.__setattr__(self, "residual_ratio", as_fraction(self.residual_ratio))
-        object.__setattr__(self, "models", tuple(self.models))
-        object.__setattr__(
-            self, "new_test_generations", tuple(self.new_test_generations)
-        )
-        object.__setattr__(
-            self, "residual_strategies", tuple(self.residual_strategies)
-        )
         if not self.corpus_paths:
             raise ConfigError("need at least one corpus path")
         if not self.output_dir:
             raise ConfigError("output_dir must be set")
         if not self.models:
             raise ConfigError("need at least one model")
-        for spec in self.models:
-            SegmenterId.parse(spec)
         if len(set(self.models)) != len(self.models):
             raise ConfigError("duplicate model specs")
         for name, values in (
@@ -155,6 +151,18 @@ class RunConfig:
             raise ConfigError(f"f1_average must be one of {AVERAGES}")
         if self.collapse_epsilon < 0:
             raise ConfigError("collapse_epsilon must be >= 0")
+        if self.unigram_smoothing <= 0:
+            raise ConfigError("unigram_smoothing must be > 0")
+        # build what every cell builds, so a bad setting (or an unknown
+        # model spec) fails here, once
+        try:
+            self.template()
+            for spec in self.models:
+                self.train_config(SegmenterId.parse(spec), seed=0)
+            for generation in self.new_test_generations:
+                self.plan(generation)
+        except ValidationError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def template(self) -> FeatureTemplate:
         return FeatureTemplate(max_ngram=self.max_ngram, window=self.window)
@@ -185,59 +193,16 @@ class RunConfig:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "corpus_paths": list(self.corpus_paths),
-            "output_dir": self.output_dir,
-            "fractions": [str(f) for f in self.fractions],
-            "samples_per_fraction": self.samples_per_fraction,
-            "residual_splits": self.residual_splits,
-            "residual_ratio": format_ratio(self.residual_ratio),
-            "new_test_generations": list(self.new_test_generations),
-            "residual_strategies": list(self.residual_strategies),
-            "models": list(self.models),
-            "seeds_per_model": self.seeds_per_model,
-            "f1_variant": self.f1_variant,
-            "f1_average": self.f1_average,
-            "collapse_epsilon": self.collapse_epsilon,
-            "master_seed": self.master_seed,
-            "adversarial_budget": self.adversarial_budget,
-            "parallelism": self.parallelism,
-            "max_ngram": self.max_ngram,
-            "window": self.window,
-            "optimizer": self.optimizer,
-            "max_iterations": self.max_iterations,
-            "convergence_tol": self.convergence_tol,
-            "l2_lambda": self.l2_lambda,
-            "unigram_smoothing": self.unigram_smoothing,
-        }
+        return {name: _encode(kind, getattr(self, name)) for name, kind in _FIELD_TYPES.items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        return cls(
-            corpus_paths=tuple(data["corpus_paths"]),
-            output_dir=data["output_dir"],
-            fractions=tuple(Fraction(f) for f in data["fractions"]),
-            samples_per_fraction=int(data["samples_per_fraction"]),
-            residual_splits=int(data["residual_splits"]),
-            residual_ratio=parse_ratio(data["residual_ratio"]),
-            new_test_generations=tuple(data["new_test_generations"]),
-            residual_strategies=tuple(data["residual_strategies"]),
-            models=tuple(data["models"]),
-            seeds_per_model=int(data["seeds_per_model"]),
-            f1_variant=data["f1_variant"],
-            f1_average=data["f1_average"],
-            collapse_epsilon=float(data["collapse_epsilon"]),
-            master_seed=int(data["master_seed"]),
-            adversarial_budget=int(data["adversarial_budget"]),
-            parallelism=int(data["parallelism"]),
-            max_ngram=int(data["max_ngram"]),
-            window=int(data["window"]),
-            optimizer=data["optimizer"],
-            max_iterations=int(data["max_iterations"]),
-            convergence_tol=float(data["convergence_tol"]),
-            l2_lambda=float(data["l2_lambda"]),
-            unigram_smoothing=float(data["unigram_smoothing"]),
-        )
+        return cls(**{name: _decode(kind, data[name]) for name, kind in _FIELD_TYPES.items()})
+
+    @staticmethod
+    def parse_field(name: str, text: str):
+        """A field's value from its flag or config-file text; lists are comma separated."""
+        return _decode(_FIELD_TYPES[name], text)
 
     def config_hash(self) -> str:
         payload = {
@@ -249,20 +214,41 @@ class RunConfig:
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
+_FIELD_TYPES = get_type_hints(RunConfig)
+# the tuple field types, each with the parser of its items
+_ITEM_TYPES = {tuple[str, ...]: str, tuple[Fraction, ...]: as_fraction}
+
+
+def _encode(kind, value):
+    """A RunConfig field value as the ledger stores it."""
+    if kind is Fraction:
+        return format_ratio(value)
+    if kind in _ITEM_TYPES:
+        return [str(v) for v in value]
+    return value
+
+
+def _decode(kind, value):
+    """A RunConfig field value from its ledger form or from its text.
+
+    Tuple fields take a JSON list or comma-separated text; the one
+    Fraction field is the ``9:1`` residual ratio.
+    """
+    if kind is Fraction:
+        return parse_ratio(value)
+    if kind in _ITEM_TYPES:
+        if isinstance(value, str):
+            value = [part.strip() for part in value.split(",") if part.strip()]
+        return tuple(_ITEM_TYPES[kind](v) for v in value)
+    return kind(value)
+
+
 @dataclass
 class CellStatus:
     status: str
     seconds: float = 0.0
     path: str = ""
     error: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "seconds": self.seconds,
-            "path": self.path,
-            "error": self.error,
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "CellStatus":
@@ -297,7 +283,7 @@ class RunLedger:
             "version": LEDGER_VERSION,
             "config": self.config.to_dict(),
             "config_hash": self.config_hash,
-            "cells": {k: s.to_dict() for k, s in sorted(self.cells.items())},
+            "cells": {k: asdict(s) for k, s in sorted(self.cells.items())},
             "notes": self.notes,
         }
         path = self.path()
@@ -323,18 +309,12 @@ class RunLedger:
                 f"matches its recorded hash ({actual[:12]} vs {stored[:12]}); "
                 "refusing to resume an edited run"
             )
-        ledger = cls(config=config, config_hash=stored)
-        ledger.cells = {
-            k: CellStatus.from_dict(v) for k, v in data.get("cells", {}).items()
-        }
-        ledger.notes = list(data.get("notes", []))
-        return ledger
-
-
-def _mean_triple(triples: Sequence[ScoreTriple]) -> ScoreTriple:
-    p = sum(t.precision for t in triples) / len(triples)
-    r = sum(t.recall for t in triples) / len(triples)
-    return ScoreTriple.from_pr(p, r)
+        return cls(
+            config=config,
+            config_hash=stored,
+            cells={k: CellStatus.from_dict(v) for k, v in data.get("cells", {}).items()},
+            notes=list(data.get("notes", [])),
+        )
 
 
 def compute_cell(corpus: Corpus, cell: GridCell, config: RunConfig) -> dict:
@@ -380,7 +360,7 @@ def compute_cell(corpus: Corpus, cell: GridCell, config: RunConfig) -> dict:
                         corpus_f1(new_gold, pred_new, variant, config.f1_average)
                     )
             for table, triples in per_seed.items():
-                tables[table][key] = _mean_triple(triples)
+                tables[table][key] = mean_triple(triples)
 
     def ranked(side: str) -> ModelRanking:
         scores = {m: t.f1 for m, t in tables[f"{config.f1_variant}_{side}"].items()}
@@ -444,21 +424,20 @@ def compute_cell(corpus: Corpus, cell: GridCell, config: RunConfig) -> dict:
     }
 
 
-_WORKER_CORPORA: dict[str, Corpus] = {}
+# Set in each pool worker, once, by its initializer: the run's corpora by
+# language tag, and its config.
+_POOL_JOB: tuple[dict[str, Corpus], RunConfig] | None = None
 
 
-def _worker_corpus(path: str) -> Corpus:
-    if path not in _WORKER_CORPORA:
-        _WORKER_CORPORA[path] = parse_corpus(path)
-    return _WORKER_CORPORA[path]
+def _start_pool_worker(corpora: dict[str, Corpus], config: RunConfig) -> None:
+    global _POOL_JOB
+    _POOL_JOB = (corpora, config)
 
 
-def _run_task(task: tuple[str, dict, dict]) -> tuple[str, str, dict | str, float]:
-    """Process-pool entry point: returns (key, status, payload-or-error, s)."""
-    path, cell_dict, config_dict = task
-    cell = GridCell.from_dict(cell_dict)
-    config = RunConfig.from_dict(config_dict)
-    corpus = _worker_corpus(path)
+def _run_cell(
+    corpus: Corpus, cell: GridCell, config: RunConfig
+) -> tuple[str, str, dict | str, float]:
+    """Compute one cell; returns (key, status, payload-or-error, s)."""
     key = f"{corpus.language_tag}/{cell.cell_id}"
     start = time.perf_counter()
     try:
@@ -466,6 +445,13 @@ def _run_task(task: tuple[str, dict, dict]) -> tuple[str, str, dict | str, float
     except Exception:
         return key, "failed", traceback.format_exc(limit=20), time.perf_counter() - start
     return key, "done", payload, time.perf_counter() - start
+
+
+def _run_pooled(task: tuple[str, GridCell]) -> tuple[str, str, dict | str, float]:
+    """Process-pool entry point for one (language, cell) task."""
+    corpora, config = _POOL_JOB
+    language, cell = task
+    return _run_cell(corpora[language], cell, config)
 
 
 def _load_corpora(config: RunConfig) -> list[tuple[str, Corpus]]:
@@ -511,20 +497,23 @@ def _persist_payload(out_dir: Path, payload: dict) -> Path:
 
 def _execute(
     config: RunConfig,
+    corpora: Sequence[tuple[str, Corpus]],
     tasks: Sequence[tuple[str, str, GridCell]],
-) -> dict[str, tuple[str, dict | str, float]]:
-    """Run tasks inline or in a process pool; key → (status, payload, s)."""
-    packed = [(path, cell.to_dict(), config.to_dict()) for path, _, cell in tasks]
-    outcomes: dict[str, tuple[str, dict | str, float]] = {}
-    if config.parallelism > 1 and len(packed) > 1:
-        with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
-            for key, status, payload, seconds in pool.map(_run_task, packed):
-                outcomes[key] = (status, payload, seconds)
-    else:
-        for task in packed:
-            key, status, payload, seconds = _run_task(task)
-            outcomes[key] = (status, payload, seconds)
-    return outcomes
+) -> list[tuple[str, str, dict | str, float]]:
+    """Run tasks inline or in a process pool; (key, status, payload, s) each.
+
+    Cells are scored on the corpora this run parsed; a pool hands them to
+    each worker once, when the worker starts.
+    """
+    by_language = {corpus.language_tag: corpus for _, corpus in corpora}
+    if config.parallelism > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(
+            max_workers=config.parallelism,
+            initializer=_start_pool_worker,
+            initargs=(by_language, config),
+        ) as pool:
+            return list(pool.map(_run_pooled, [(lang, cell) for _, lang, cell in tasks]))
+    return [_run_cell(by_language[lang], cell, config) for _, lang, cell in tasks]
 
 
 def _f(v: float) -> str:
@@ -609,23 +598,16 @@ def _records_csv(out: Path, language: str, records: list[dict], config: RunConfi
     )
 
 
-def regression_records(records: list[dict]) -> list[RegressionRecord]:
-    """Validated regression inputs from persisted record rows.
+def regression_records(records: Iterable[dict]) -> list[RegressionRecord]:
+    """Validated regression inputs from record rows, persisted or read as
+    CSV text; each field is converted to its declared type.
 
     ``cell_id`` and ``score_on`` are provenance columns; they never enter
     the design matrix.
     """
+    kinds = get_type_hints(RegressionRecord)
     return [
-        RegressionRecord(
-            f1=rec["f1"],
-            strategy=rec["strategy"],
-            new_test_gen=rec["new_test_gen"],
-            morpheme_overlap=rec["morpheme_overlap"],
-            word_count_ratio=rec["word_count_ratio"],
-            morph_per_word_ratio=rec["morph_per_word_ratio"],
-            morph_type_per_word_ratio=rec["morph_type_per_word_ratio"],
-            model_arch=rec["model_arch"],
-        )
+        RegressionRecord(**{name: kind(rec[name]) for name, kind in kinds.items()})
         for rec in records
     ]
 
@@ -695,12 +677,7 @@ def _best_rankings_csv(out: Path, results: list[CellResult], config: RunConfig) 
     for strategy in sorted(by_strategy):
         cells = by_strategy[strategy]
         for side in ("eval", "new"):
-            counts: dict[str, int] = {}
-            for c in cells:
-                label = ranking_label(
-                    c.ranking_eval if side == "eval" else c.ranking_new
-                )
-                counts[label] = counts.get(label, 0) + 1
+            counts = Counter(ranking_label(getattr(c, f"ranking_{side}")) for c in cells)
             for label in sorted(counts, key=lambda l: (-counts[l], l)):
                 rows.append(
                     (strategy, side, label, counts[label],
@@ -713,24 +690,22 @@ def _best_rankings_csv(out: Path, results: list[CellResult], config: RunConfig) 
     )
 
 
-def _population_sigma(values: Sequence[float]) -> float:
-    mean = sum(values) / len(values)
-    return (sum((v - mean) ** 2 for v in values) / len(values)) ** 0.5
-
-
 def _plots_data_csv(out: Path, results: list[CellResult], config: RunConfig) -> Path:
     """Per-fraction new-test F1 sigma, pooled over languages and modes."""
     groups: dict[tuple[Fraction, str], list[CellResult]] = {}
     for r in results:
         groups.setdefault((r.fraction, r.residual_strategy), []).append(r)
     rows = []
-    for (frac, strategy) in sorted(groups):
-        cells = groups[(frac, strategy)]
-        for m in cells[0].models():
-            sigma = _population_sigma(
-                [c.scores(config.f1_variant, "new")[m].f1 for c in cells]
-            )
-            rows.append((_g(float(frac)), strategy, m, _f(sigma)))
+    for stratum in sorted(groups):
+        cells = groups[stratum]
+        # a stratum of one cell has no spread
+        sigmas = (
+            score_variability(cells, stratum, config.f1_variant)
+            if len(cells) > 1
+            else dict.fromkeys(cells[0].models(), 0.0)
+        )
+        for m, sigma in sigmas.items():
+            rows.append((_g(float(stratum[0])), stratum[1], m, _f(sigma)))
     return _write_csv(
         out / "plots_data.csv",
         ("fraction", "strategy", "model", "sigma"),
@@ -738,50 +713,102 @@ def _plots_data_csv(out: Path, results: list[CellResult], config: RunConfig) -> 
     )
 
 
-def _load_payloads(ledger: RunLedger) -> dict[str, dict]:
-    payloads = {}
+def _load_payloads(
+    ledger: RunLedger, fresh: dict[str, dict] | None = None
+) -> dict[str, dict]:
+    """Payloads of the ledger's done cells: ``fresh`` ones as given, the
+    rest read from their artifacts (skipping missing files)."""
+    payloads = dict(fresh or {})
     for key, status in ledger.cells.items():
-        if status.status != "done":
+        if key in payloads or status.status != "done":
             continue
         path = Path(status.path)
-        if not path.exists():
-            continue
-        payloads[key] = json.loads(path.read_text(encoding="utf-8"))
+        if path.exists():
+            payloads[key] = json.loads(path.read_text(encoding="utf-8"))
     return payloads
 
 
-def _group_by_language(payloads: dict[str, dict]) -> dict[str, list[dict]]:
-    by_lang: dict[str, list[dict]] = {}
-    for key in sorted(payloads):
-        payload = payloads[key]
-        by_lang.setdefault(payload["language_tag"], []).append(payload)
-    return by_lang
+_OUTPUT_KINDS = ("rows",) + REPORT_KINDS
 
 
-def _write_outputs(config: RunConfig, payloads: dict[str, dict]) -> tuple[list[Path], list[str]]:
-    """Emit every CSV from persisted payloads; returns (paths, notes)."""
+def _write_outputs(
+    config: RunConfig, payloads: dict[str, dict], kinds: Sequence[str] = _OUTPUT_KINDS
+) -> tuple[list[Path], list[str]]:
+    """Emit the CSVs of ``kinds`` from cell payloads; returns (paths, notes).
+
+    ``rows`` is the per-language report rows and records; the other kinds
+    are those of :func:`report`.
+    """
     out = Path(config.output_dir)
     written: list[Path] = []
     notes: list[str] = []
-    by_lang = _group_by_language(payloads)
-    all_results: list[CellResult] = []
-    for language, cells in sorted(by_lang.items()):
-        results = [CellResult.from_dict(p["result"]) for p in cells]
-        records = [rec for p in cells for rec in p["records"]]
-        all_results.extend(results)
-        written.append(_report_rows_csv(out, language, results, config))
-        written.append(_records_csv(out, language, records, config))
-        paths, note = _regression_csvs(out, language, records, config)
-        written.extend(paths)
-        if note:
-            notes.append(note)
-            logger.warning(note)
-    if all_results:
-        all_results.sort(key=lambda r: (r.language_tag, r.cell_id))
+    by_lang: dict[str, tuple[list[CellResult], list[dict]]] = {}
+    for key in sorted(payloads):
+        payload = payloads[key]
+        results, records = by_lang.setdefault(payload["language_tag"], ([], []))
+        results.append(CellResult.from_dict(payload["result"]))
+        records.extend(payload["records"])
+    for language, (results, records) in sorted(by_lang.items()):
+        if "rows" in kinds:
+            written.append(_report_rows_csv(out, language, results, config))
+            written.append(_records_csv(out, language, records, config))
+        if "regression" in kinds:
+            paths, note = _regression_csvs(out, language, records, config)
+            written.extend(paths)
+            if note:
+                notes.append(note)
+                logger.warning(note)
+    all_results = sorted(
+        (r for results, _ in by_lang.values() for r in results),
+        key=lambda r: (r.language_tag, r.cell_id),
+    )
+    if all_results and "tables" in kinds:
         written.append(_aggregate_csv(out, all_results, config))
         written.append(_best_rankings_csv(out, all_results, config))
+    if all_results and "plots-data" in kinds:
         written.append(_plots_data_csv(out, all_results, config))
     return written, notes
+
+
+def _complete(ledger: RunLedger) -> RunLedger:
+    """Compute every cell the ledger lacks, then rewrite the reports.
+
+    A cell is computed when the ledger has no done entry for it or its
+    artifact is missing. Payloads computed here are reported from memory;
+    only the cells left untouched are read back from disk.
+    """
+    config = ledger.config
+    out = Path(config.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    corpora = _load_corpora(config)
+
+    def pending(language: str, cell: GridCell) -> bool:
+        status = ledger.cells.get(f"{language}/{cell.cell_id}")
+        return (
+            status is None
+            or status.status != "done"
+            or not _cell_artifact_path(out, language, cell.cell_id).exists()
+        )
+
+    todo = [
+        (path, language, cell)
+        for path, language, cell in enumerate_cells(config, corpora)
+        if pending(language, cell)
+    ]
+    fresh: dict[str, dict] = {}
+    for key, status, payload, seconds in sorted(
+        _execute(config, corpora, todo), key=lambda outcome: outcome[0]
+    ):
+        if status == "done":
+            path = _persist_payload(out, payload)
+            fresh[key] = payload
+            ledger.cells[key] = CellStatus("done", seconds, str(path))
+        else:
+            logger.error("cell %s failed:\n%s", key, payload)
+            ledger.cells[key] = CellStatus("failed", seconds, "", str(payload))
+    _, ledger.notes = _write_outputs(config, _load_payloads(ledger, fresh))
+    ledger.save()
+    return ledger
 
 
 def run_experiment(config: RunConfig) -> RunLedger:
@@ -790,26 +817,7 @@ def run_experiment(config: RunConfig) -> RunLedger:
     Cell failures are recorded in the ledger and skipped; the caller
     decides process exit status from ``ledger.failed_keys()``.
     """
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    corpora = _load_corpora(config)
-    tasks = enumerate_cells(config, corpora)
-    ledger = RunLedger(config=config, config_hash=config.config_hash())
-    outcomes = _execute(config, tasks)
-    payloads: dict[str, dict] = {}
-    for key in sorted(outcomes):
-        status, payload, seconds = outcomes[key]
-        if status == "done":
-            path = _persist_payload(out, payload)
-            payloads[key] = payload
-            ledger.cells[key] = CellStatus("done", seconds, str(path))
-        else:
-            logger.error("cell %s failed:\n%s", key, payload)
-            ledger.cells[key] = CellStatus("failed", seconds, "", str(payload))
-    _, notes = _write_outputs(config, payloads)
-    ledger.notes = notes
-    ledger.save()
-    return ledger
+    return _complete(RunLedger(config=config, config_hash=config.config_hash()))
 
 
 def resume(ledger_path: str | Path) -> RunLedger:
@@ -818,33 +826,7 @@ def resume(ledger_path: str | Path) -> RunLedger:
     Refuses (with :class:`LedgerError`) when the ledger's embedded config
     no longer matches its recorded hash.
     """
-    ledger = RunLedger.load(ledger_path)
-    config = ledger.config
-    out = Path(config.output_dir)
-    corpora = _load_corpora(config)
-    tasks = enumerate_cells(config, corpora)
-    todo = []
-    for path, language, cell in tasks:
-        key = f"{language}/{cell.cell_id}"
-        status = ledger.cells.get(key)
-        artifact = _cell_artifact_path(out, language, cell.cell_id)
-        if status is None or status.status != "done" or not artifact.exists():
-            todo.append((path, language, cell))
-    if todo:
-        outcomes = _execute(config, todo)
-        for key in sorted(outcomes):
-            status, payload, seconds = outcomes[key]
-            if status == "done":
-                path = _persist_payload(out, payload)
-                ledger.cells[key] = CellStatus("done", seconds, str(path))
-            else:
-                logger.error("cell %s failed:\n%s", key, payload)
-                ledger.cells[key] = CellStatus("failed", seconds, "", str(payload))
-    payloads = _load_payloads(ledger)
-    _, notes = _write_outputs(config, payloads)
-    ledger.notes = notes
-    ledger.save()
-    return ledger
+    return _complete(RunLedger.load(ledger_path))
 
 
 def report(ledger_path: str | Path, kind: str) -> list[Path]:
@@ -852,29 +834,7 @@ def report(ledger_path: str | Path, kind: str) -> list[Path]:
     if kind not in REPORT_KINDS:
         raise DomainError(f"kind must be one of {REPORT_KINDS}, got {kind!r}")
     ledger = RunLedger.load(ledger_path)
-    config = ledger.config
-    out = Path(config.output_dir)
     payloads = _load_payloads(ledger)
     if not payloads:
         raise DomainError("ledger has no completed cells to report on")
-    by_lang = _group_by_language(payloads)
-    all_results = [
-        CellResult.from_dict(p["result"])
-        for lang in sorted(by_lang)
-        for p in by_lang[lang]
-    ]
-    all_results.sort(key=lambda r: (r.language_tag, r.cell_id))
-    written: list[Path] = []
-    if kind == "tables":
-        written.append(_aggregate_csv(out, all_results, config))
-        written.append(_best_rankings_csv(out, all_results, config))
-    elif kind == "regression":
-        for language, cells in sorted(by_lang.items()):
-            records = [rec for p in cells for rec in p["records"]]
-            paths, note = _regression_csvs(out, language, records, config)
-            written.extend(paths)
-            if note:
-                logger.warning(note)
-    else:
-        written.append(_plots_data_csv(out, all_results, config))
-    return written
+    return _write_outputs(ledger.config, payloads, (kind,))[0]

@@ -553,6 +553,8 @@ class ExperimentPlan:
             raise ValidationError("new-test fractions must lie strictly between 0 and 1")
         if self.samples_per_fraction < 1 or self.residual_splits < 1:
             raise ValidationError("samples_per_fraction and residual_splits must be >= 1")
+        if self.adversarial_budget is not None and self.adversarial_budget < 0:
+            raise ValidationError("adversarial_budget must be >= 0 or None")
         if self.new_test_generation not in GRID_STRATEGIES:
             raise ValidationError(
                 f"new_test_generation must be one of {GRID_STRATEGIES}, "

@@ -1,8 +1,10 @@
 """Command line surface: subcommands, config file, and precedence rules."""
 
+import dataclasses
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,7 +12,7 @@ import pytest
 from morphsplit import cli
 from morphsplit.corpus import parse_corpus
 from morphsplit.errors import ConfigError, ParseError
-from morphsplit.runner import OUTPUT_DIR_ENV
+from morphsplit.runner import OUTPUT_DIR_ENV, RunConfig
 
 
 @pytest.fixture(scope="module")
@@ -182,6 +184,78 @@ class TestConfigFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             cli.parse_config_file(tmp_path / "ghost.cfg")
+
+
+# Every experiment flag and the config key it sets; six spellings differ.
+FLAG_VALUES = (
+    ("--corpus", "corpus_paths", "a.tsv"),
+    ("--output-dir", "output_dir", "out"),
+    ("--fractions", "fractions", "1/5,3/10"),
+    ("--samples-per-fraction", "samples_per_fraction", "2"),
+    ("--residual-splits", "residual_splits", "1"),
+    ("--residual-ratio", "residual_ratio", "4:1"),
+    ("--generations", "new_test_generations", "random"),
+    ("--strategies", "residual_strategies", "adversarial,random"),
+    ("--models", "models", "crf,longest_match"),
+    ("--seeds-per-model", "seeds_per_model", "2"),
+    ("--f1-variant", "f1_variant", "morpheme"),
+    ("--average", "f1_average", "macro"),
+    ("--collapse-epsilon", "collapse_epsilon", "0.05"),
+    ("--master-seed", "master_seed", "7"),
+    ("--budget", "adversarial_budget", "300"),
+    ("--parallelism", "parallelism", "2"),
+    ("--max-ngram", "max_ngram", "2"),
+    ("--window", "window", "1"),
+    ("--optimizer", "optimizer", "gradient_descent"),
+    ("--max-iterations", "max_iterations", "50"),
+    ("--convergence-tol", "convergence_tol", "1e-05"),
+    ("--l2-lambda", "l2_lambda", "0.25"),
+    ("--smoothing", "unigram_smoothing", "0.5"),
+)
+EXPECTED = RunConfig(
+    corpus_paths=("a.tsv",), output_dir="out",
+    fractions=(Fraction(1, 5), Fraction(3, 10)), samples_per_fraction=2,
+    residual_splits=1, residual_ratio=Fraction(4, 1),
+    new_test_generations=("random",), residual_strategies=("adversarial", "random"),
+    models=("crf", "longest_match"), seeds_per_model=2, f1_variant="morpheme",
+    f1_average="macro", collapse_epsilon=0.05, master_seed=7,
+    adversarial_budget=300, parallelism=2, max_ngram=2, window=1,
+    optimizer="gradient_descent", max_iterations=50, convergence_tol=1e-5,
+    l2_lambda=0.25, unigram_smoothing=0.5,
+)
+
+
+class TestConfigSchema:
+    def test_keys_fields_and_flags_agree(self):
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        args = cli.build_parser().parse_args(["experiment"])
+        dests = set(vars(args)) - {"command", "func", "config"}
+        assert set(cli._CONFIG_KEYS) == fields
+        assert dests == fields
+        assert {key for _, key, _ in FLAG_VALUES} == fields
+
+    def test_every_flag_spelling_parses(self, monkeypatch):
+        monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+        argv = ["experiment"]
+        for flag, _, value in FLAG_VALUES:
+            argv += [flag, value]
+        args = cli.build_parser().parse_args(argv)
+        assert cli._experiment_config(args) == EXPECTED
+
+    def test_every_config_key_parses(self, tmp_path):
+        path = tmp_path / "all.cfg"
+        path.write_text("".join(f"{key} = {value}\n" for _, key, value in FLAG_VALUES))
+        assert RunConfig(**cli.parse_config_file(path)) == EXPECTED
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--residual-ratio", "9-1"), ("--fractions", "1/0"),
+         ("--samples-per-fraction", "two")],
+    )
+    def test_bad_flag_value_is_usage_error(self, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(["experiment", flag, value])
+        assert exc.value.code == 2
 
 
 class TestExperimentPrecedence:

@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from morphsplit.corpus import SegmentedWord
 from morphsplit.errors import ContractError, DomainError, ValidationError
 from morphsplit.evaluation import (
-    AggregateReport,
     CellResult,
     ModelRanking,
     ScoreTriple,
-    aggregate,
     aggregate_rows,
     boundary_f1,
     boundary_positions,
@@ -420,28 +418,33 @@ def random_cells(n=12, seed=11):
     return cells
 
 
+def strata(cells):
+    """Cells grouped by (fraction, residual strategy)."""
+    out = {}
+    for c in cells:
+        out.setdefault((c.fraction, c.residual_strategy), []).append(c)
+    return out
+
+
 class TestAggregate:
     def test_recount_within_tolerance(self):
         cells = random_cells()
-        report = aggregate(cells)
-        assert isinstance(report, AggregateReport)
-        for stats in report.strata:
-            members = [
-                c for c in cells
-                if c.fraction == stats.fraction
-                and c.residual_strategy == stats.residual_strategy
-            ]
-            assert stats.n_cells == len(members)
-            for m in MODELS:
+        for stratum, members in strata(cells).items():
+            # aggregate_rows pools by residual strategy, so one stratum's
+            # cells give that stratum's per-model means
+            rows = aggregate_rows(members)
+            assert [row["model"] for row in rows] == sorted(MODELS)
+            for row in rows:
+                m = row["model"]
                 evals = [c.boundary_eval[m].f1 for c in members]
                 news = [c.boundary_new[m].f1 for c in members]
-                assert stats.mean_eval_f1[m] == pytest.approx(
+                assert row["mean_eval_f1"] == pytest.approx(
                     sum(evals) / len(evals), abs=1e-12
                 )
-                assert stats.mean_new_f1[m] == pytest.approx(
+                assert row["mean_new_f1"] == pytest.approx(
                     sum(news) / len(news), abs=1e-12
                 )
-                assert stats.mean_abs_gap[m] == pytest.approx(
+                assert row["mean_abs_gap"] == pytest.approx(
                     sum(abs(e - n) for e, n in zip(evals, news)) / len(evals),
                     abs=1e-12,
                 )
@@ -449,18 +452,25 @@ class TestAggregate:
                 sigma = math.sqrt(
                     sum((v - mean) ** 2 for v in news) / len(news)
                 )
-                assert stats.sigma[m] == pytest.approx(sigma, abs=1e-12)
+                assert row["sigma"] == pytest.approx(sigma, abs=1e-12)
+                if len(members) > 1:
+                    assert score_variability(cells, stratum)[m] == pytest.approx(
+                        sigma, abs=1e-12
+                    )
             same = sum(
                 c.ranking_eval.same_groups(c.ranking_new) for c in members
             )
-            assert stats.consistency == pytest.approx(
+            assert ranking_consistency(members) == pytest.approx(
                 same / len(members), abs=1e-12
             )
+            assert all(row["consistency"] == ranking_consistency(members)
+                       for row in rows)
 
     def test_strata_sorted(self):
-        report = aggregate(random_cells())
-        keys = [(s.fraction, s.residual_strategy) for s in report.strata]
+        rows = aggregate_rows(random_cells())
+        keys = [(row["residual_strategy"], row["model"]) for row in rows]
         assert keys == sorted(keys)
+        assert len(keys) == len(set(keys))
 
     def test_pooled_rows_recount(self):
         cells = random_cells(seed=13)
@@ -483,6 +493,6 @@ class TestAggregate:
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
-            aggregate([])
-        with pytest.raises(DomainError):
             aggregate_rows([])
+        with pytest.raises(DomainError):
+            ranking_consistency([])

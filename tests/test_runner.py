@@ -2,6 +2,7 @@
 
 import csv
 import json
+import shutil
 from fractions import Fraction
 from pathlib import Path
 
@@ -104,11 +105,46 @@ class TestRunConfig:
             dict(f1_average="median"),
             dict(collapse_epsilon=-0.1),
             dict(output_dir=""),
+            # training and grid settings, caught before any grid or cell work
+            dict(optimizer="adam"),
+            dict(max_iterations=0),
+            dict(window=-1),
+            dict(l2_lambda=-1),
+            dict(unigram_smoothing=-1),
+            dict(samples_per_fraction=0),
+            dict(adversarial_budget=-5),
         ],
     )
     def test_rejects(self, corpus_file, tmp_path, override):
         with pytest.raises(ConfigError):
             make_config(corpus_file, tmp_path, **override)
+
+    def test_hash_pinned(self):
+        # the ledger format is the contract a saved run is resumed against
+        default = R.RunConfig(corpus_paths=("corpus.tsv",), output_dir="run")
+        assert default.config_hash() == (
+            "90398906d07a7ab08da03f9286c98eebe24ef5f8094ce48398a9d33ac78f101b"
+        )
+        other = R.RunConfig(
+            corpus_paths=("a.tsv", "b.tsv"),
+            output_dir="run",
+            fractions=(Fraction(1, 5), Fraction(3, 10)),
+            residual_ratio=Fraction(4, 1),
+            models=("crf", "longest_match"),
+            collapse_epsilon=0.05,
+            l2_lambda=0.25,
+            convergence_tol=1e-5,
+            unigram_smoothing=0.5,
+            samples_per_fraction=2,
+            new_test_generations=("random",),
+            seeds_per_model=2,
+            master_seed=7,
+        )
+        assert other.config_hash() == (
+            "d395a1eec23459a2062c09e81b3027129f6f71f26e463767460eec26c2fcf31f"
+        )
+        assert other.to_dict()["fractions"] == ["1/5", "3/10"]
+        assert other.to_dict()["residual_ratio"] == "4:1"
 
     def test_boundary_logistic_trains_by_gradient_descent(
         self, corpus_file, tmp_path
@@ -311,6 +347,25 @@ class TestMinimalRun:
         out = Path(cfg.output_dir)
         assert (out / "aggregate.csv").exists()
         assert (out / "best_rankings.csv").exists()
+        # a stratum of one cell has no spread
+        assert [row["sigma"] for row in read_csv(out / "plots_data.csv")] == [
+            "0.000000"
+        ]
+
+
+class TestCorpusChanges:
+    def test_second_run_reads_the_new_corpus_at_the_same_path(self, tmp_path):
+        path = tmp_path / "synA.tsv"
+        write_synthetic(path, seed=1)
+        R.run_experiment(make_config(path, tmp_path / "first"))
+        write_synthetic(path, seed=2)
+        R.run_experiment(make_config(path, tmp_path / "second"))
+        # same content and language tag, at a path no earlier run has seen
+        fresh = tmp_path / "fresh" / "synA.tsv"
+        fresh.parent.mkdir()
+        write_synthetic(fresh, seed=2)
+        R.run_experiment(make_config(fresh, tmp_path / "third"))
+        assert csv_bytes(tmp_path / "second") == csv_bytes(tmp_path / "third")
 
 
 class TestDeterminism:
@@ -381,6 +436,29 @@ class TestResume:
         (out / "ledger.json").write_text(json.dumps(data))
         with pytest.raises(LedgerError, match="hash mismatch"):
             R.resume(out)
+
+    def test_ledger_v1_resumes_without_recompute(self, tmp_path, monkeypatch):
+        # tests/data/ledger_v1.json was saved by the field-by-field
+        # RunConfig.to_dict for this very run, with paths relative to the
+        # run's working directory
+        saved = Path(__file__).parent / "data" / "ledger_v1.json"
+        monkeypatch.chdir(tmp_path)
+        write_synthetic(tmp_path / "synA.tsv")
+        R.run_experiment(make_config("synA.tsv", "run"))
+        shutil.copy(saved, tmp_path / "run" / "ledger.json")
+        stamps = {p: p.stat().st_mtime_ns for p in Path("run/cells").rglob("*.json")}
+
+        def no_compute(*args):
+            raise AssertionError("resume recomputed a cell")
+
+        monkeypatch.setattr(R, "compute_cell", no_compute)
+        ledger = R.resume("run")
+        expected = json.loads(saved.read_text())
+        assert ledger.failed_keys() == []
+        assert ledger.done_keys() == sorted(expected["cells"])
+        assert ledger.config_hash == expected["config_hash"]
+        assert ledger.config.to_dict() == expected["config"]
+        assert {p: p.stat().st_mtime_ns for p in stamps} == stamps
 
     def test_missing_ledger(self, tmp_path):
         with pytest.raises(LedgerError, match="no ledger"):
