@@ -42,7 +42,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from tempfile import TemporaryDirectory
-from typing import Iterable, Sequence, get_type_hints
+from typing import Collection, Iterable, Sequence, get_type_hints
 
 from .corpus import Corpus, corpus_stats, parse_corpus
 from .errors import ConfigError, DomainError, LedgerError, SingularityError, ValidationError
@@ -69,6 +69,7 @@ from .splitter import (
     build_grid,
     derive_seed,
     format_ratio,
+    grid_units,
     parse_ratio,
 )
 from .stats import RegressionRecord, fit_regression
@@ -119,7 +120,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         for name, kind in _FIELD_TYPES.items():
-            if kind in _ITEM_TYPES:
+            if kind in _ITEM_TYPES or kind is float:
                 object.__setattr__(self, name, _decode(kind, getattr(self, name)))
         object.__setattr__(self, "residual_ratio", as_fraction(self.residual_ratio))
         if not self.corpus_paths:
@@ -262,12 +263,14 @@ class CellStatus:
 
 @dataclass
 class RunLedger:
-    """Run manifest: the config, its hash, and per-cell completion state."""
+    """Run manifest: the config, its hash, per-cell completion state, and
+    the sha256 of each corpus file's bytes when the run last read it."""
 
     config: RunConfig
     config_hash: str
     cells: dict[str, CellStatus] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
+    corpus_sha256: dict[str, str] = field(default_factory=dict)
 
     def done_keys(self) -> list[str]:
         return sorted(k for k, s in self.cells.items() if s.status == "done")
@@ -285,6 +288,7 @@ class RunLedger:
             "config_hash": self.config_hash,
             "cells": {k: asdict(s) for k, s in sorted(self.cells.items())},
             "notes": self.notes,
+            "corpus_sha256": self.corpus_sha256,
         }
         path = self.path()
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -314,7 +318,30 @@ class RunLedger:
             config_hash=stored,
             cells={k: CellStatus.from_dict(v) for k, v in data.get("cells", {}).items()},
             notes=list(data.get("notes", [])),
+            corpus_sha256=dict(data.get("corpus_sha256", {})),
         )
+
+    def check_corpora(self) -> None:
+        """Refuse a run whose corpus files changed since it last read them.
+
+        Only recorded digests of files that exist are compared: a ledger
+        written before digests were kept has none, and ``report`` needs no
+        corpus file, only the artifacts.
+        """
+        for path, recorded in sorted(self.corpus_sha256.items()):
+            if not Path(path).is_file():
+                continue
+            actual = _sha256(path)
+            if actual != recorded:
+                raise LedgerError(
+                    f"corpus {path} changed since the run read it (sha256 "
+                    f"{actual[:12]} vs {recorded[:12]}); its cells were scored "
+                    "on the old content, so start a new run"
+                )
+
+
+def _sha256(path: str | Path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def compute_cell(corpus: Corpus, cell: GridCell, config: RunConfig) -> dict:
@@ -424,12 +451,12 @@ def compute_cell(corpus: Corpus, cell: GridCell, config: RunConfig) -> dict:
     }
 
 
-# Set in each pool worker, once, by its initializer: the run's corpora by
-# language tag, and its config.
-_POOL_JOB: tuple[dict[str, Corpus], RunConfig] | None = None
+# Set in each pool worker, once, by its initializer: the run's corpora and
+# its config.
+_POOL_JOB: tuple[list[tuple[str, Corpus]], RunConfig] | None = None
 
 
-def _start_pool_worker(corpora: dict[str, Corpus], config: RunConfig) -> None:
+def _start_pool_worker(corpora: list[tuple[str, Corpus]], config: RunConfig) -> None:
     global _POOL_JOB
     _POOL_JOB = (corpora, config)
 
@@ -447,11 +474,22 @@ def _run_cell(
     return key, "done", payload, time.perf_counter() - start
 
 
-def _run_pooled(task: tuple[str, GridCell]) -> tuple[str, str, dict | str, float]:
-    """Process-pool entry point for one (language, cell) task."""
+def _run_cells(
+    config: RunConfig, corpora: Sequence[tuple[str, Corpus]], keys: Collection[str]
+) -> list[tuple[str, str, dict | str, float]]:
+    """Build the cells with these keys, each carve they need once, and
+    compute them."""
+    by_language = {corpus.language_tag: corpus for _, corpus in corpora}
+    return [
+        _run_cell(by_language[language], cell, config)
+        for _, language, cell in enumerate_cells(config, corpora, only=keys)
+    ]
+
+
+def _run_pooled(keys: list[str]) -> list[tuple[str, str, dict | str, float]]:
+    """Process-pool entry point for the pending cells of one work unit."""
     corpora, config = _POOL_JOB
-    language, cell = task
-    return _run_cell(corpora[language], cell, config)
+    return _run_cells(config, corpora, keys)
 
 
 def _load_corpora(config: RunConfig) -> list[tuple[str, Corpus]]:
@@ -469,25 +507,49 @@ def _load_corpora(config: RunConfig) -> list[tuple[str, Corpus]]:
 
 
 def enumerate_cells(
-    config: RunConfig, corpora: Sequence[tuple[str, Corpus]]
+    config: RunConfig,
+    corpora: Sequence[tuple[str, Corpus]],
+    only: Collection[str] | None = None,
 ) -> list[tuple[str, str, GridCell]]:
-    """All (corpus path, language, cell) work units in deterministic order."""
+    """All (corpus path, language, cell) work units in deterministic order.
+
+    Each carve is made once and shared by the residual strategies. With
+    ``only``, a collection of ``language/cell_id`` keys, just those cells
+    are built, and just the carves they need.
+    """
     tasks = []
     for path, corpus in corpora:
+        language = corpus.language_tag
+        ids = None if only is None else {
+            key[len(language) + 1:] for key in only if key.startswith(f"{language}/")
+        }
         for generation in config.new_test_generations:
             plan = config.plan(generation)
-            for strategy in config.residual_strategies:
-                for cell in build_grid(corpus, plan, strategy):
-                    tasks.append((path, corpus.language_tag, cell))
+            for cell in build_grid(corpus, plan, config.residual_strategies, ids):
+                tasks.append((path, language, cell))
     return tasks
 
 
-def _cell_artifact_path(out_dir: Path, language: str, cell_id: str) -> Path:
-    return out_dir / "cells" / language / f"{cell_id}.json"
+def _grid_units(
+    config: RunConfig, corpora: Sequence[tuple[str, Corpus]]
+) -> list[list[str]]:
+    """Every cell key, grouped by work unit: one unit per (language,
+    generation, fraction, sample), i.e. per carve. Keys follow from the
+    coordinates alone; nothing is split here."""
+    return [
+        [f"{corpus.language_tag}/{cell_id}" for _, _, cell_id in cells]
+        for _, corpus in corpora
+        for generation in config.new_test_generations
+        for _, _, cells in grid_units(config.plan(generation), config.residual_strategies)
+    ]
+
+
+def _cell_artifact_path(out_dir: Path, key: str) -> Path:
+    return out_dir / "cells" / f"{key}.json"
 
 
 def _persist_payload(out_dir: Path, payload: dict) -> Path:
-    path = _cell_artifact_path(out_dir, payload["language_tag"], payload["cell"]["cell_id"])
+    path = _cell_artifact_path(out_dir, payload["key"])
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(
         json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -498,22 +560,24 @@ def _persist_payload(out_dir: Path, payload: dict) -> Path:
 def _execute(
     config: RunConfig,
     corpora: Sequence[tuple[str, Corpus]],
-    tasks: Sequence[tuple[str, str, GridCell]],
+    units: Sequence[list[str]],
 ) -> list[tuple[str, str, dict | str, float]]:
-    """Run tasks inline or in a process pool; (key, status, payload, s) each.
+    """Build and run the given cells, grouped by work unit, inline or in a
+    process pool; (key, status, payload, s) each.
 
-    Cells are scored on the corpora this run parsed; a pool hands them to
-    each worker once, when the worker starts.
+    A pool worker builds the splits of the units it is handed, so no unit's
+    carve or residual splits are made anywhere else. Cells are scored on
+    the corpora this run parsed; a pool hands them to each worker once,
+    when the worker starts.
     """
-    by_language = {corpus.language_tag: corpus for _, corpus in corpora}
-    if config.parallelism > 1 and len(tasks) > 1:
+    if config.parallelism > 1 and len(units) > 1:
         with ProcessPoolExecutor(
             max_workers=config.parallelism,
             initializer=_start_pool_worker,
-            initargs=(by_language, config),
+            initargs=(list(corpora), config),
         ) as pool:
-            return list(pool.map(_run_pooled, [(lang, cell) for _, lang, cell in tasks]))
-    return [_run_cell(by_language[lang], cell, config) for _, lang, cell in tasks]
+            return [outcome for done in pool.map(_run_pooled, units) for outcome in done]
+    return _run_cells(config, corpora, {key for unit in units for key in unit})
 
 
 def _f(v: float) -> str:
@@ -774,26 +838,33 @@ def _complete(ledger: RunLedger) -> RunLedger:
     """Compute every cell the ledger lacks, then rewrite the reports.
 
     A cell is computed when the ledger has no done entry for it or its
-    artifact is missing. Payloads computed here are reported from memory;
-    only the cells left untouched are read back from disk.
+    artifact is missing. Cell keys follow from the grid coordinates, so
+    splits are built only for the work units (carves) that have such a
+    cell, and only the residual splits of those cells; a run with nothing
+    pending makes no split at all. Payloads computed here are reported
+    from memory; only the cells left untouched are read back from disk.
+    Refuses with :class:`LedgerError` when a corpus file's content no
+    longer matches the digest the ledger recorded for it.
     """
     config = ledger.config
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    ledger.check_corpora()
     corpora = _load_corpora(config)
+    ledger.corpus_sha256 = {path: _sha256(path) for path in config.corpus_paths}
 
-    def pending(language: str, cell: GridCell) -> bool:
-        status = ledger.cells.get(f"{language}/{cell.cell_id}")
+    def pending(key: str) -> bool:
+        status = ledger.cells.get(key)
         return (
             status is None
             or status.status != "done"
-            or not _cell_artifact_path(out, language, cell.cell_id).exists()
+            or not _cell_artifact_path(out, key).exists()
         )
 
     todo = [
-        (path, language, cell)
-        for path, language, cell in enumerate_cells(config, corpora)
-        if pending(language, cell)
+        pending_keys
+        for unit in _grid_units(config, corpora)
+        if (pending_keys := [key for key in unit if pending(key)])
     ]
     fresh: dict[str, dict] = {}
     for key, status, payload, seconds in sorted(
@@ -834,6 +905,7 @@ def report(ledger_path: str | Path, kind: str) -> list[Path]:
     if kind not in REPORT_KINDS:
         raise DomainError(f"kind must be one of {REPORT_KINDS}, got {kind!r}")
     ledger = RunLedger.load(ledger_path)
+    ledger.check_corpora()
     payloads = _load_payloads(ledger)
     if not payloads:
         raise DomainError("ledger has no completed cells to report on")

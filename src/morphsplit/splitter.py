@@ -10,7 +10,7 @@ Three partition strategies over a corpus of word types:
 
 The distance between two morpheme distributions is total variation,
 ``0.5 * sum(|p - q|)``, which for point masses under a 0/1 ground metric is
-also the 1-Wasserstein distance. The adversarial search never evaluates it
+also the 1-Wasserstein distance. The adversarial search never decides on it
 in floating point: with integer token counts, comparing
 ``S / (2 * TA * TB)`` across candidates reduces to exact integer
 cross-multiplication.
@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 import numpy as np
 
@@ -291,6 +291,51 @@ def random_split(
     )
 
 
+#: Swap comparisons multiply scores by side totals in int64 below this bound
+#: on ``max word tokens * corpus tokens**3``, in Python integers above it.
+_INT64_SCORES = 2**62
+
+
+class _CountRows:
+    """The corpus as integer morpheme-count rows, one per word.
+
+    Word ``i``'s distinct morpheme ids are ``ids[k * n + i]`` for slots
+    ``k < width`` and their counts ``cnts[k * n + i]``, padded to the
+    widest word with the id ``V`` of a morpheme type no word has, at count
+    0; ``tots[i]`` is its token count and ``totals`` counts every morpheme
+    over the whole corpus (0 for the padding type). Slot-major flat arrays
+    make gathering the rows of many words one fast 1-D take. Memory is
+    O(n*K + V) for n words, K distinct morphemes in the widest word and V
+    morpheme types.
+    """
+
+    def __init__(self, corpus: Corpus):
+        vocab = sorted({m for w in corpus for m in w.morphemes})
+        index = {m: i for i, m in enumerate(vocab)}
+        counts = [Counter(index[m] for m in w.morphemes) for w in corpus]
+        self.vocab_size = len(vocab)
+        self.width = max(len(c) for c in counts)
+        ids = np.full((self.width, len(counts)), self.vocab_size, dtype=np.int64)
+        cnts = np.zeros((self.width, len(counts)), dtype=np.int64)
+        for word, c in enumerate(counts):
+            for k, i in enumerate(sorted(c)):
+                ids[k, word], cnts[k, word] = i, c[i]
+        self.ids, self.cnts = ids.ravel(), cnts.ravel()
+        self.slot_start = (np.arange(self.width) * len(counts))[:, None]
+        self.tots = cnts.sum(axis=0)
+        self.totals = np.zeros(self.vocab_size + 1, dtype=np.int64)
+        np.add.at(self.totals, self.ids, self.cnts)
+        self.total = int(self.tots.sum())
+        if self.total * self.total * max(self.vocab_size, 1) >= 2**62:
+            raise DomainError(
+                "corpus too large for exact integer split scoring "
+                f"({self.total} tokens, {self.vocab_size} morpheme types)"
+            )
+        # a swap's score change is below 3*tmax*T, its side-total product
+        # change below 2*tmax*T, and the scores below T**2 / 2
+        self.int64_exact = int(self.tots.max()) * self.total**3 < _INT64_SCORES
+
+
 class _SwapState:
     """Integer bookkeeping for the adversarial hill climb.
 
@@ -298,111 +343,150 @@ class _SwapState:
     cB are per-side morpheme token counts and TA, TB the side totals; the
     total variation distance equals ``S / (2*TA*TB)``. All comparisons
     between candidate swaps cross-multiply these integers exactly.
+
+    Swapping word u (side a) for word v (side b) changes cA by
+    ``D = X_v - X_u`` and TA by ``d = tot_v - tot_u``. With ``T = TA + TB``
+    and ``base_m(d) = cA[m]*(TB - d) - cB[m]*(TA + d)``, the new score is
+    ``S0(d) + sum over m in supp(u) | supp(v) of
+    |base_m(d) + D[m]*T| - |base_m(d)|``, where ``S0(d)`` sums
+    ``|base_m(d)|`` over all morphemes. Since ``base_m(d) = base_m(0) -
+    d*C[m]`` for the constant corpus counts C, scoring a swap touches only
+    the rows of u and v, plus one O(V) sum per distinct ``d`` per
+    partition.
     """
 
-    def __init__(self, corpus: Corpus, side_a: Sequence[int], side_b: Sequence[int]):
-        vocab = sorted({m for w in corpus for m in w.morphemes})
-        self.vocab_size = len(vocab)
-        index = {m: i for i, m in enumerate(vocab)}
-        self.ids: list[np.ndarray] = []
-        self.cnts: list[np.ndarray] = []
-        self.tots: list[int] = []
-        for w in corpus:
-            c = Counter(w.morphemes)
-            mids = np.array(sorted(index[m] for m in c), dtype=np.int64)
-            self.ids.append(mids)
-            self.cnts.append(np.array([c[vocab[i]] for i in mids], dtype=np.int64))
-            self.tots.append(len(w.morphemes))
-        total = sum(self.tots)
-        if total * total * max(self.vocab_size, 1) >= 2**62:
-            raise DomainError(
-                "corpus too large for exact integer split scoring "
-                f"({total} tokens, {self.vocab_size} morpheme types)"
-            )
-        self.c_a = np.zeros(self.vocab_size, dtype=np.int64)
-        self.c_b = np.zeros(self.vocab_size, dtype=np.int64)
-        self.t_a = 0
-        self.t_b = 0
-        for i in side_a:
-            self.c_a[self.ids[i]] += self.cnts[i]
-            self.t_a += self.tots[i]
-        for i in side_b:
-            self.c_b[self.ids[i]] += self.cnts[i]
-            self.t_b += self.tots[i]
-        self.score = int(np.abs(self.c_a * self.t_b - self.c_b * self.t_a).sum())
+    def __init__(self, rows: _CountRows, side_a: np.ndarray):
+        self.rows = rows
+        self.c_a = np.zeros(rows.vocab_size + 1, dtype=np.int64)
+        slots = side_a + rows.slot_start
+        np.add.at(self.c_a, rows.ids[slots], rows.cnts[slots])
+        self.t_a = int(rows.tots[side_a].sum())
+        self.d_min = int(rows.tots.min() - rows.tots.max())
+        self._s0 = np.empty(1 - 2 * self.d_min, dtype=np.int64)
+        self._settle()
+
+    @property
+    def t_b(self) -> int:
+        return self.rows.total - self.t_a
+
+    def _settle(self) -> None:
+        """Recompute base(0) and the score after the counts changed."""
+        self.base = self.c_a * self.rows.total - self.rows.totals * self.t_a
+        self.score = int(np.abs(self.base).sum())
+        self._s0.fill(-1)
+        self._s0[-self.d_min] = self.score
 
     def is_maximal(self) -> bool:
         return self.score == 2 * self.t_a * self.t_b
 
-    def _affected(self, u: int, v: int):
-        merged = np.concatenate([self.ids[u], self.ids[v]])
-        uniq, inverse = np.unique(merged, return_inverse=True)
-        delta = np.zeros(len(uniq), dtype=np.int64)
-        np.subtract.at(delta, inverse[: len(self.ids[u])], self.cnts[u])
-        np.add.at(delta, inverse[len(self.ids[u]):], self.cnts[v])
-        return uniq, delta
+    def _s0_at(self, d: np.ndarray) -> np.ndarray:
+        """``S0(d)`` for each entry of ``d``, each distinct value summed once."""
+        at = d - self.d_min
+        s0 = self._s0[at]
+        if np.minimum.reduce(s0) < 0:
+            for i in set(at[s0 < 0].tolist()):
+                self._s0[i] = np.abs(self.base - (i + self.d_min) * self.rows.totals).sum()
+            s0 = self._s0[at]
+        return s0
 
-    def evaluate_swap(self, u: int, v: int) -> tuple[int, int, int]:
-        """Score after moving word u from side a and word v from side b."""
-        t_a2 = self.t_a - self.tots[u] + self.tots[v]
-        t_b2 = self.t_b + self.tots[u] - self.tots[v]
-        uniq, delta = self._affected(u, v)
-        new_a = self.c_a[uniq] + delta
-        new_b = self.c_b[uniq] - delta
-        if t_a2 == self.t_a:
-            old = np.abs(self.c_a[uniq] * self.t_b - self.c_b[uniq] * self.t_a)
-            new = np.abs(new_a * t_b2 - new_b * t_a2)
-            score = self.score + int(new.sum()) - int(old.sum())
-        else:
-            vec = self.c_a * t_b2 - self.c_b * t_a2
-            vec[uniq] = new_a * t_b2 - new_b * t_a2
-            score = int(np.abs(vec).sum())
-        return score, t_a2, t_b2
+    def first_improvement(self, us: np.ndarray, vs: np.ndarray) -> int | None:
+        """Index of the first pair whose swap (``us[j]`` to side b, ``vs[j]``
+        to side a) strictly raises the distance, or None when none does."""
+        rows = self.rows
+        d = rows.tots[vs] - rows.tots[us]
+        # (slot, pair) arrays of the two rows of every pair
+        u_slots, v_slots = us + rows.slot_start, vs + rows.slot_start
+        u_ids, u_cnts = rows.ids[u_slots], rows.cnts[u_slots]
+        v_ids, v_cnts = rows.ids[v_slots], rows.cnts[v_slots]
+        same = u_ids[:, None, :] == v_ids[None, :, :]
+        # D = X_v - X_u on u's morphemes, then D = X_v on v's other ones
+        # (the ufunc reductions skip the ndarray method wrappers, which cost
+        # more than the arithmetic on passes this small)
+        ids = np.concatenate((u_ids, v_ids))
+        moved = np.concatenate((
+            np.add.reduce(same * v_cnts, axis=1) - u_cnts,
+            np.where(np.logical_or.reduce(same, axis=0), 0, v_cnts),
+        ))
+        base = self.base[ids] - d * rows.totals[ids]
+        gain = np.add.reduce(np.abs(base + moved * rows.total) - np.abs(base), axis=0)
+        # score'/(ta'*tb') > score/(ta*tb)  <=>  (score' - score)*ta*tb > score*e
+        # with e = ta'*tb' - ta*tb, compared in int64 where no product can
+        # overflow it and in Python integers beyond that
+        diff = self._s0_at(d) + gain - self.score
+        e = d * (self.t_b - self.t_a - d)
+        if not rows.int64_exact:
+            diff, e = diff.astype(object), e.astype(object)
+        hits = (diff * (self.t_a * self.t_b) > e * self.score).nonzero()[0]
+        return int(hits[0]) if len(hits) else None
 
-    def apply_swap(self, u: int, v: int, score: int, t_a2: int, t_b2: int) -> None:
-        uniq, delta = self._affected(u, v)
-        self.c_a[uniq] += delta
-        self.c_b[uniq] -= delta
-        self.t_a, self.t_b = t_a2, t_b2
-        self.score = score
+    def apply_swap(self, u: int, v: int) -> None:
+        rows = self.rows
+        u_slots, v_slots = u + rows.slot_start[:, 0], v + rows.slot_start[:, 0]
+        self.c_a[rows.ids[u_slots]] -= rows.cnts[u_slots]
+        self.c_a[rows.ids[v_slots]] += rows.cnts[v_slots]
+        self.t_a += int(rows.tots[v] - rows.tots[u])
+        self._settle()
+
+
+#: Pairs per vector pass: the first after a swap, and the most, in units of
+#: the squared row width (a pass holds pairs x width x width booleans).
+_FIRST_PASS = 16
+_PASS_CELLS = 1 << 12
 
 
 def _climb(
     state: _SwapState,
-    side_a: list[int],
-    side_b: list[int],
+    side_a: np.ndarray,
+    side_b: np.ndarray,
     budget: int | None,
     used: int,
 ) -> int:
     """First-improvement sweeps over single-pair swaps until a local optimum.
 
-    Mutates ``state`` and the side lists in place; returns the updated
-    evaluation count. Stops early when the distance reaches 1 or ``budget``
+    A sweep visits the pairs (side_a[ia], side_b[ib]) in row-major order.
+    They are scored a run at a time in one vector pass; the first strict
+    improvement at run offset j is applied and charged ``j + 1``
+    evaluations, and the next run starts at the pair after it, with the
+    swapped words in place. A run without one is charged its length, and
+    the next run is twice as long (up to a fixed size), so stretches
+    without improvements cost few passes. The runs never reach past the
+    sweep or the budget, which makes this the one-pair-at-a-time scan with
+    the same accepted swaps and the same evaluation count. Mutates
+    ``state`` and the side arrays in place; returns the updated evaluation
+    count. Stops early when the distance reaches 1 or ``budget``
     evaluations have been spent overall.
     """
+    n_b = len(side_b)
+    sweep = len(side_a) * n_b
+    longest = max(_FIRST_PASS, _PASS_CELLS // state.rows.width**2)
     improved = True
     while improved and not state.is_maximal():
         if budget is not None and used >= budget:
             return used
         improved = False
-        for ia in range(len(side_a)):
-            for ib in range(len(side_b)):
-                if budget is not None and used >= budget:
-                    return used
-                used += 1
-                u, v = side_a[ia], side_b[ib]
-                # Identical multisets can never strictly improve the score.
-                if state.tots[u] == state.tots[v] and np.array_equal(
-                    state.ids[u], state.ids[v]
-                ) and np.array_equal(state.cnts[u], state.cnts[v]):
-                    continue
-                score, t_a2, t_b2 = state.evaluate_swap(u, v)
-                if score * (state.t_a * state.t_b) > state.score * (t_a2 * t_b2):
-                    state.apply_swap(u, v, score, t_a2, t_b2)
-                    side_a[ia], side_b[ib] = v, u
-                    improved = True
-                    if state.is_maximal():
-                        return used
+        pos, size = 0, _FIRST_PASS
+        while pos < sweep:
+            stop = min(sweep, pos + size)
+            if budget is not None:
+                stop = min(stop, pos + budget - used)
+            if stop <= pos:
+                return used
+            ia, ib = np.divmod(np.arange(pos, stop), n_b)
+            j = state.first_improvement(side_a[ia], side_b[ib])
+            if j is None:
+                used += stop - pos
+                pos = stop
+                size = min(2 * size, longest)
+                continue
+            used += j + 1
+            ia, ib = divmod(pos + j, n_b)
+            state.apply_swap(side_a[ia], side_b[ib])
+            side_a[ia], side_b[ib] = side_b[ib], side_a[ia]
+            improved = True
+            if state.is_maximal():
+                return used
+            pos += j + 1
+            size = _FIRST_PASS
     return used
 
 
@@ -425,7 +509,9 @@ def adversarial_split(
     lets the search escape local optima that trap a single climb. Each
     climb sweeps candidate swaps in deterministic order, accepting the
     first strict improvement, until a full sweep yields none, the distance
-    reaches 1, or the shared evaluation ``budget`` runs out. Swaps and
+    reaches 1, or the shared evaluation ``budget`` runs out. The swaps of
+    one side-a word are scored together in one vector pass over sparse
+    morpheme-count rows (see ``_SwapState``), in O(nnz + V) memory. Swaps and
     terminal partitions are compared with exact integer arithmetic and
     every manifest distance is the correctly rounded exact value, so the
     result never scores below the random split with the same seed, not
@@ -442,20 +528,23 @@ def adversarial_split(
         raise DomainError("budget must be >= 0 or None")
     n = len(corpus)
     n_b = _side_sizes(n, ratio)
+    rows = _CountRows(corpus)
     used = 0
     best: tuple[int, int, int, tuple[int, ...], tuple[int, ...]] | None = None
 
     for start in range(ADVERSARIAL_STARTS):
         start_seed = seed if start == 0 else derive_seed(seed, "restart", start)
-        a_list, b_list = (list(s) for s in _seeded_sides(n, n_b, start_seed))
-        state = _SwapState(corpus, a_list, b_list)
-        used = _climb(state, a_list, b_list, budget, used)
+        side_a, side_b = (
+            np.array(side, dtype=np.int64) for side in _seeded_sides(n, n_b, start_seed)
+        )
+        state = _SwapState(rows, side_a)
+        used = _climb(state, side_a, side_b, budget, used)
         candidate = (
             state.score,
             state.t_a,
             state.t_b,
-            tuple(sorted(a_list)),
-            tuple(sorted(b_list)),
+            tuple(sorted(side_a.tolist())),
+            tuple(sorted(side_b.tolist())),
         )
         # cross-multiplied comparison of score/(2*t_a*t_b) in exact integers
         if best is None or candidate[0] * (best[1] * best[2]) > best[0] * (
@@ -638,22 +727,55 @@ def _split_by(strategy: str, corpus, ratio, seed, budget, stage) -> SplitManifes
     return adversarial_split(corpus, ratio, seed, budget=budget, stage=stage)
 
 
-def build_grid(
-    corpus: Corpus, plan: ExperimentPlan, residual_strategy: str
-) -> tuple[GridCell, ...]:
-    """Expand ``plan`` into cells for one residual split strategy.
+def grid_units(
+    plan: ExperimentPlan, residual_strategies: Sequence[str]
+) -> list[tuple[Fraction, int, list[tuple[str, int, str]]]]:
+    """The grid's work units in order, one per carve: (fraction, sample,
+    the (residual strategy, split, cell id) of each of its cells).
 
-    For every (fraction, sample) pair a new test set is carved with the
-    plan's generation strategy, then the residual is split
-    ``plan.residual_splits`` times with ``residual_strategy``. All seeds
-    derive from the plan's master seed and the cell coordinates, so two
-    calls with equal arguments produce byte-identical cells. Raises
-    :class:`CapacityError` if any cell would have an empty member set.
+    Cell ids are a pure function of these coordinates, so the cells of a
+    grid are known without splitting anything.
     """
-    if residual_strategy not in GRID_STRATEGIES:
-        raise DomainError(
-            f"residual strategy must be one of {GRID_STRATEGIES}, got {residual_strategy!r}"
-        )
+    generation = plan.new_test_generation
+    units = []
+    for frac in plan.new_test_fractions:
+        pct = f"{float(frac) * 100:.10g}"
+        for s in range(plan.samples_per_fraction):
+            units.append((frac, s, [
+                (strategy, r, f"nt{pct}pct-{generation}-s{s:02d}-{strategy}-r{r}")
+                for strategy in residual_strategies
+                for r in range(plan.residual_splits)
+            ]))
+    return units
+
+
+def build_grid(
+    corpus: Corpus,
+    plan: ExperimentPlan,
+    residual_strategy: str | Sequence[str],
+    only: Container[str] | None = None,
+) -> tuple[GridCell, ...]:
+    """Expand ``plan`` into cells for one or more residual split strategies.
+
+    For every (fraction, sample) pair a new test set is carved once with
+    the plan's generation strategy, and shared by every strategy in
+    ``residual_strategy`` (a name or a sequence of names); the residual is
+    then split ``plan.residual_splits`` times with each. All seeds derive
+    from the plan's master seed and the cell coordinates, so two calls with
+    equal arguments produce byte-identical cells, and any subset of the
+    cells can be built alone: with ``only``, a collection of cell ids, just
+    those cells are built, and a carve only when one of its cells is
+    wanted. Raises :class:`CapacityError` if any cell would have an empty
+    member set.
+    """
+    strategies = (
+        (residual_strategy,) if isinstance(residual_strategy, str) else tuple(residual_strategy)
+    )
+    for strategy in strategies:
+        if strategy not in GRID_STRATEGIES:
+            raise DomainError(
+                f"residual strategy must be one of {GRID_STRATEGIES}, got {strategy!r}"
+            )
     n = len(corpus)
     for frac in plan.new_test_fractions:
         n_new = round(n * frac)
@@ -664,47 +786,38 @@ def build_grid(
                 f"fraction {frac} on {n} words would leave an empty train, "
                 "eval, or new-test set"
             )
+    generation = plan.new_test_generation
     cells = []
-    for fi, frac in enumerate(plan.new_test_fractions):
-        carve_ratio = (Fraction(1) - frac) / frac
-        pct = f"{float(frac) * 100:.10g}"
-        for s in range(plan.samples_per_fraction):
-            carve_seed = derive_seed(
-                plan.master_seed, "carve", plan.new_test_generation, str(frac), s
+    for frac, s, unit in grid_units(plan, strategies):
+        wanted = unit if only is None else [cell for cell in unit if cell[2] in only]
+        if not wanted:
+            continue
+        carve_seed = derive_seed(plan.master_seed, "carve", generation, str(frac), s)
+        carve = _split_by(
+            generation, corpus, (Fraction(1) - frac) / frac, carve_seed,
+            plan.adversarial_budget, "new_test_carving",
+        )
+        residual = carve.indices_a
+        residual_corpus = corpus.subset(residual)
+        for strategy, r, cell_id in wanted:
+            seed = derive_seed(plan.master_seed, "residual", strategy, str(frac), s, r)
+            m = _split_by(
+                strategy, residual_corpus, plan.residual_ratio, seed,
+                plan.adversarial_budget, "residual_split",
             )
-            carve = _split_by(
-                plan.new_test_generation, corpus, carve_ratio, carve_seed,
-                plan.adversarial_budget, "new_test_carving",
+            cells.append(
+                GridCell(
+                    cell_id=cell_id,
+                    fraction=frac,
+                    sample_index=s,
+                    split_index=r,
+                    new_test_strategy=generation,
+                    residual_strategy=strategy,
+                    train_indices=tuple(sorted(residual[i] for i in m.indices_a)),
+                    eval_indices=tuple(sorted(residual[i] for i in m.indices_b)),
+                    new_test_indices=carve.indices_b,
+                    carve_manifest=carve,
+                    residual_manifest=m,
+                )
             )
-            residual = carve.indices_a
-            residual_corpus = corpus.subset(residual)
-            for r in range(plan.residual_splits):
-                seed = derive_seed(
-                    plan.master_seed, "residual", residual_strategy, str(frac), s, r
-                )
-                m = _split_by(
-                    residual_strategy, residual_corpus, plan.residual_ratio, seed,
-                    plan.adversarial_budget, "residual_split",
-                )
-                train = tuple(sorted(residual[i] for i in m.indices_a))
-                eval_ = tuple(sorted(residual[i] for i in m.indices_b))
-                cell_id = (
-                    f"nt{pct}pct-{plan.new_test_generation}-s{s:02d}-"
-                    f"{residual_strategy}-r{r}"
-                )
-                cells.append(
-                    GridCell(
-                        cell_id=cell_id,
-                        fraction=frac,
-                        sample_index=s,
-                        split_index=r,
-                        new_test_strategy=plan.new_test_generation,
-                        residual_strategy=residual_strategy,
-                        train_indices=train,
-                        eval_indices=eval_,
-                        new_test_indices=carve.indices_b,
-                        carve_manifest=carve,
-                        residual_manifest=m,
-                    )
-                )
     return tuple(cells)

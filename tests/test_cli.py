@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -399,3 +400,17 @@ class TestInstalledEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+    def test_package_runs_as_module(self, tmp_path):
+        # a checkout works without an installed console script: the package
+        # directory goes on the child's import path, nothing is looked up on PATH
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = tmp_path / "c.tsv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "morphsplit", "synth",
+             "--output", str(out), "--words", "10"],
+            capture_output=True, text=True, timeout=60, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert len(parse_corpus(out)) == 10

@@ -2,14 +2,17 @@
 
 import csv
 import json
+import re
 import shutil
 from fractions import Fraction
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 
 from morphsplit import corpus as C
 from morphsplit import runner as R
+from morphsplit import splitter as S
 from morphsplit.errors import ConfigError, DomainError, LedgerError
 from morphsplit.evaluation import CellResult, aggregate_rows
 
@@ -145,6 +148,18 @@ class TestRunConfig:
         )
         assert other.to_dict()["fractions"] == ["1/5", "3/10"]
         assert other.to_dict()["residual_ratio"] == "4:1"
+
+    def test_float_fields_given_ints_reload_with_the_same_hash(self, corpus_file, tmp_path):
+        floats = [name for name, kind in get_type_hints(R.RunConfig).items() if kind is float]
+        assert len(floats) == 4
+        for name in floats:
+            cfg = make_config(corpus_file, tmp_path / name, **{name: 1})
+            assert type(getattr(cfg, name)) is float
+            again = R.RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+            assert again == cfg
+            assert again.config_hash() == cfg.config_hash()
+            R.RunLedger(config=cfg, config_hash=cfg.config_hash()).save()
+            assert R.RunLedger.load(cfg.output_dir).config == cfg
 
     def test_boundary_logistic_trains_by_gradient_descent(
         self, corpus_file, tmp_path
@@ -367,6 +382,37 @@ class TestCorpusChanges:
         R.run_experiment(make_config(fresh, tmp_path / "third"))
         assert csv_bytes(tmp_path / "second") == csv_bytes(tmp_path / "third")
 
+    def test_resume_and_report_refuse_a_changed_corpus(self, tmp_path):
+        # the corpus file is rewritten under a finished run and one cell is
+        # lost: resuming would score that cell on the new words and report
+        # it beside cells scored on the old ones
+        path = tmp_path / "synA.tsv"
+        write_synthetic(path, seed=1)
+        cfg = make_config(path, tmp_path / "run")
+        R.run_experiment(cfg)
+        write_synthetic(path, seed=2)
+        next((tmp_path / "run" / "cells").rglob("*.json")).unlink()
+        with pytest.raises(LedgerError, match=re.escape(str(path))):
+            R.resume(cfg.output_dir)
+        with pytest.raises(LedgerError, match=re.escape(str(path))):
+            R.report(cfg.output_dir, "tables")
+        # the same bytes again: the run is whole once more
+        write_synthetic(path, seed=1)
+        assert R.resume(cfg.output_dir).failed_keys() == []
+
+
+@pytest.fixture()
+def split_calls(monkeypatch):
+    """(strategy, stage, seed) of every split the splitter makes."""
+    calls = []
+    for name in ("random_split", "adversarial_split"):
+        def counted(corpus, ratio, seed, *args, _split=getattr(S, name), **kwargs):
+            manifest = _split(corpus, ratio, seed, *args, **kwargs)
+            calls.append((manifest.strategy, manifest.stage, seed))
+            return manifest
+        monkeypatch.setattr(S, name, counted)
+    return calls
+
 
 class TestDeterminism:
     def test_rerun_is_byte_identical(self, corpus_file, smoke_run, tmp_path):
@@ -412,6 +458,37 @@ class TestResume:
         assert victim.exists()
         assert ledger.failed_keys() == []
         assert {p: p.stat().st_mtime_ns for p in survivors} == stamps
+        assert csv_bytes(out) == before
+
+    def test_finished_run_resumes_without_splitting(self, corpus_file, tmp_path, split_calls):
+        cfg = make_config(corpus_file, tmp_path / "run")
+        R.run_experiment(cfg)
+        # one carve per (generation, fraction, sample), shared by the strategies
+        carves = [c for c in split_calls if c[1] == "new_test_carving"]
+        assert len(carves) == len(set(carves)) == 2
+        split_calls.clear()
+        R.resume(cfg.output_dir)
+        assert split_calls == []
+
+    def test_deleted_cell_rebuilds_only_its_carve_and_split(
+        self, corpus_file, tmp_path, split_calls
+    ):
+        cfg = make_config(
+            corpus_file, tmp_path / "run", samples_per_fraction=2, residual_splits=2
+        )
+        R.run_experiment(cfg)
+        out = Path(cfg.output_dir)
+        before = csv_bytes(out)
+        (out / "cells" / "synA" / "nt30pct-adversarial-s01-adversarial-r1.json").unlink()
+        split_calls.clear()
+        ledger = R.resume(out)
+        frac = str(Fraction(3, 10))
+        assert sorted(split_calls) == [
+            ("adversarial", "new_test_carving", S.derive_seed(0, "carve", "adversarial", frac, 1)),
+            ("adversarial", "residual_split",
+             S.derive_seed(0, "residual", "adversarial", frac, 1, 1)),
+        ]
+        assert ledger.failed_keys() == []
         assert csv_bytes(out) == before
 
     def test_failed_status_is_recomputed(self, corpus_file, tmp_path):

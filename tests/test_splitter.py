@@ -2,8 +2,10 @@
 
 import itertools
 import json
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,6 +238,134 @@ class TestAdversarialSplit:
             for s in range(3)
         )
         assert found == pytest.approx(best, abs=1e-9)
+
+
+# Manifests written by the one-pair-at-a-time scan that the vectorized scan
+# replaced, for the cases listed in the file: the search must return exactly
+# the same split, distance and evaluation count.
+PINNED = json.loads(
+    (Path(__file__).parent / "data" / "adversarial_manifests_v1.json").read_text(encoding="utf-8")
+)
+WIDE_SPEC = C.SyntheticSpec(num_words=4000, stems=3000, suffixes=40, seed=3)
+
+
+def pinned_corpus(spec):
+    if "words" in spec:
+        return C.Corpus(tuple(C.SegmentedWord(s, tuple(m)) for s, m in spec["words"]))
+    return C.generate_synthetic_corpus(C.SyntheticSpec(**spec["synthetic"]))
+
+
+def pinned_split(case, corpus=None):
+    return S.adversarial_split(
+        corpus if corpus is not None else pinned_corpus(case["corpus"]),
+        S.parse_ratio(case["ratio"]),
+        case["seed"],
+        budget=case["budget"],
+    )
+
+
+def reference_adversarial(corpus, ratio, seed, budget):
+    """The adversarial search scored one pair at a time from scratch:
+    (indices_a, indices_b, evaluations)."""
+    counts = [Counter(w.morphemes) for w in corpus]
+
+    def score(a, b):
+        c_a = sum((counts[i] for i in a), Counter())
+        c_b = sum((counts[i] for i in b), Counter())
+        t_a, t_b = sum(c_a.values()), sum(c_b.values())
+        return sum(abs(c_a[m] * t_b - c_b[m] * t_a) for m in c_a | c_b), t_a * t_b
+
+    def better(x, y):
+        return x[0] * y[1] > y[0] * x[1]
+
+    n = len(corpus)
+    used, best = 0, None
+    for start in range(S.ADVERSARIAL_STARTS):
+        start_seed = seed if start == 0 else S.derive_seed(seed, "restart", start)
+        a, b = (list(side) for side in S._seeded_sides(n, S._side_sizes(n, ratio), start_seed))
+        current = score(a, b)
+        improved = current[0] < 2 * current[1]
+        while improved:
+            if budget is not None and used >= budget:
+                break
+            improved = False
+            for ia, ib in itertools.product(range(len(a)), range(len(b))):
+                if budget is not None and used >= budget or current[0] == 2 * current[1]:
+                    break
+                used += 1
+                a[ia], b[ib] = b[ib], a[ia]
+                candidate = score(a, b)
+                if better(candidate, current):
+                    current, improved = candidate, True
+                else:
+                    a[ia], b[ib] = b[ib], a[ia]
+            improved = improved and current[0] < 2 * current[1]
+        terminal = (current, tuple(sorted(a)), tuple(sorted(b)))
+        if best is None or better(terminal[0], best[0]):
+            best = terminal
+        if current[0] == 2 * current[1] or (budget is not None and used >= budget):
+            break
+    return best[1], best[2], used
+
+
+class TestPinnedManifests:
+    @pytest.mark.parametrize("case", PINNED, ids=[c["name"] for c in PINNED])
+    def test_matches_pinned(self, case):
+        assert pinned_split(case).to_dict() == case["manifest"]
+
+    def test_cases_cover_the_edges(self):
+        by_name = {c["name"]: c for c in PINNED}
+        unlimited = [c for c in PINNED if c["budget"] is None]
+        # ends at a local optimum: no budget, distance below 1
+        assert any(c["manifest"]["achieved_distance"] < 1 for c in unlimited)
+        assert any(c["manifest"]["achieved_distance"] == 1.0 for c in unlimited)
+        # runs out mid-sweep: the whole budget, and less than one sweep of all pairs
+        for name in ("budget-mid-sweep-r4", "budget-mid-sweep-r9"):
+            m = by_name[name]["manifest"]
+            assert m["budget_used"] == by_name[name]["budget"]
+            assert m["budget_used"] < len(m["indices_a"]) * len(m["indices_b"])
+        assert by_name["budget-zero"]["manifest"]["budget_used"] == 0
+        assert {"4:1", "9:1"} <= {c["ratio"] for c in PINNED}
+        # words of unequal morpheme counts, so swaps change the side totals
+        lengths = {len(w.morphemes) for w in pinned_corpus(by_name["unequal-counts-r9"]["corpus"])}
+        assert len(lengths) >= 3
+        assert C.SyntheticSpec(**by_name["wide-inventory"]["corpus"]["synthetic"]) == WIDE_SPEC
+
+    @pytest.mark.parametrize("case", range(24))
+    def test_matches_one_pair_at_a_time_reference(self, case):
+        rng = np.random.default_rng(case)
+        corpus = toy_corpus(
+            n=int(rng.integers(8, 36)), seed=case, stems=int(rng.integers(6, 12)),
+            suffixes=int(rng.integers(3, 6)),
+        )
+        ratio = (Fraction(1), Fraction(4), Fraction(9), Fraction(7, 3))[case % 4]
+        budget = (None, 0, 7, 150)[case // 4 % 4]
+        got = S.adversarial_split(corpus, ratio, seed=case, budget=budget)
+        assert (got.indices_a, got.indices_b, got.budget_used) == reference_adversarial(
+            corpus, ratio, case, budget
+        )
+
+    @pytest.mark.parametrize("name", ["local-optimum-r9", "unequal-counts-r9", "distance-one-r4"])
+    def test_python_integer_comparisons_agree(self, name, monkeypatch):
+        # the path taken when score times side-total products may pass int64
+        monkeypatch.setattr(S, "_INT64_SCORES", 0)
+        (case,) = [c for c in PINNED if c["name"] == name]
+        assert not S._CountRows(pinned_corpus(case["corpus"])).int64_exact
+        assert pinned_split(case).to_dict() == case["manifest"]
+
+    def test_wide_inventory_memory_is_bounded(self):
+        # about 2,300 morpheme types over 4,000 words: a dense word-by-type
+        # int64 count matrix alone would take about 72 MB
+        corpus = C.generate_synthetic_corpus(WIDE_SPEC)
+        (case,) = [c for c in PINNED if c["name"] == "wide-inventory"]
+        tracemalloc.start()
+        try:
+            manifest = pinned_split(case, corpus)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert manifest.to_dict() == case["manifest"]
 
 
 class TestHeuristicSplit:
