@@ -29,7 +29,6 @@ from .crf import (
     crf_gradient,
     crf_log_partition,
     train_crf,
-    viterbi_decode,
     viterbi_raw,
 )
 from .external import ExternalModel, external_segment, train_external
@@ -78,6 +77,11 @@ class SegmenterId:
         if spec.startswith("external:"):
             return cls("external", spec[len("external:"):])
         return cls(spec)
+
+    @property
+    def seeded(self) -> bool:
+        """Whether training reads ``TrainConfig.seed``; only ``external`` does."""
+        return self.name == "external"
 
     def key(self) -> str:
         """Stable identifier used in result tables and rankings."""
@@ -175,6 +179,5 @@ __all__ = [
     "train_longest_match",
     "train_segmenter",
     "train_unigram_viterbi",
-    "viterbi_decode",
     "viterbi_raw",
 ]

@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from ..corpus import Corpus, SegmentedWord, graphemes
 from ..errors import DomainError, ValidationError
@@ -110,9 +111,53 @@ def gap_features(
     n = len(graphemes(surface))
     if not 1 <= gap <= n - 1:
         raise DomainError(f"gap {gap} out of range for {surface!r}")
-    left = {f"L:{f}" for f in extract_features(surface, gap - 1, template)}
-    right = {f"R:{f}" for f in extract_features(surface, gap, template)}
-    return frozenset(left | right | {"BIAS"})
+    return frozenset(
+        _gap_names(
+            extract_features(surface, gap - 1, template),
+            extract_features(surface, gap, template),
+        )
+    )
+
+
+def _gap_names(left, right) -> list[str]:
+    """A gap's features in sorted order, from its two positions' features."""
+    # "BIAS" < "L:..." < "R:...", so tagging sorted halves keeps the order
+    return ["BIAS", *(f"L:{f}" for f in sorted(left)), *(f"R:{f}" for f in sorted(right))]
+
+
+def _gap_ids(surface, feature_index, template, grow) -> list[list[int]]:
+    """Sorted feature ids of each gap of ``surface``, as in :func:`gap_features`.
+
+    Each position's features are extracted once. Features missing from
+    ``feature_index`` are dropped, or, with ``grow``, appended to it in
+    sorted order gap by gap.
+    """
+    n = len(graphemes(surface))
+    if n < 2:
+        return []
+    feats = [extract_features(surface, pos, template) for pos in range(n)]
+    rows = []
+    for gap in range(1, n):
+        ids = []
+        for f in _gap_names(feats[gap - 1], feats[gap]):
+            i = feature_index.get(f)
+            if i is None:
+                if not grow:
+                    continue
+                i = feature_index[f] = len(feature_index)
+            ids.append(i)
+        rows.append(sorted(ids))
+    return rows
+
+
+def _design_matrix(rows: list[list[int]], n_features: int) -> sparse.csr_matrix:
+    """One 0/1 row per gap over the feature columns."""
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(ids) for ids in rows], out=indptr[1:])
+    indices = np.fromiter((i for ids in rows for i in ids), dtype=np.int64, count=indptr[-1])
+    return sparse.csr_matrix(
+        (np.ones(len(indices)), indices, indptr), shape=(len(rows), n_features)
+    )
 
 
 @dataclass
@@ -129,24 +174,40 @@ class BoundaryLogisticModel:
         if self.weights.shape != (len(self.feature_index),):
             raise ValidationError("weight length must match the feature index")
 
-    def gap_score(self, surface: str, gap: int) -> float:
-        ids = [
-            self.feature_index[f]
-            for f in gap_features(surface, gap, self.template)
-            if f in self.feature_index
+    def _gap_scores(self, surfaces) -> np.ndarray:
+        """z = w . x for every gap of every surface, in order."""
+        rows = [
+            ids
+            for s in surfaces
+            for ids in _gap_ids(s, self.feature_index, self.template, grow=False)
         ]
-        return float(self.weights[ids].sum()) if ids else 0.0
+        return _design_matrix(rows, len(self.weights)) @ self.weights
+
+    def gap_score(self, surface: str, gap: int) -> float:
+        if not 1 <= gap <= len(graphemes(surface)) - 1:
+            raise DomainError(f"gap {gap} out of range for {surface!r}")
+        return float(self._gap_scores([surface])[gap - 1])
 
     def segment(self, surface: str) -> SegmentedWord:
-        g = graphemes(surface)
-        n = len(g)
-        if n == 0:
+        return self.segment_batch([surface])[0]
+
+    def segment_batch(self, surfaces) -> list[SegmentedWord]:
+        """Segment every surface from one sparse product over all gaps."""
+        words = [graphemes(s) for s in surfaces]
+        if not all(words):
             raise DomainError("surface must be non-empty")
         # sigma(z) > 0.5 iff z > 0; z == 0 stays unsplit
-        cuts = [0] + [gap for gap in range(1, n) if self.gap_score(surface, gap) > 0.0] + [n]
-        return SegmentedWord(
-            surface, tuple("".join(g[i:j]) for i, j in zip(cuts, cuts[1:]))
-        )
+        split = (self._gap_scores(surfaces) > 0.0).tolist()
+        out = []
+        k = 0
+        for surface, g in zip(surfaces, words):
+            n = len(g)
+            cuts = [0] + [gap for gap in range(1, n) if split[k + gap - 1]] + [n]
+            k += n - 1
+            out.append(
+                SegmentedWord(surface, tuple("".join(g[i:j]) for i, j in zip(cuts, cuts[1:])))
+            )
+        return out
 
     def to_dict(self) -> dict:
         order = sorted(self.feature_index, key=self.feature_index.__getitem__)
@@ -170,27 +231,19 @@ class BoundaryLogisticModel:
 
 
 def _logistic_rows(words, feature_index, template, grow: bool):
+    """Design matrix (gaps x features) and 0/1 boundary targets of ``words``."""
     rows: list[list[int]] = []
     targets: list[float] = []
     for w in words:
-        n = len(graphemes(w.surface))
+        gap_rows = _gap_ids(w.surface, feature_index, template, grow)
         bounds = set()
         acc = 0
         for m in w.morphemes[:-1]:
             acc += len(graphemes(m))
             bounds.add(acc)
-        for gap in range(1, n):
-            feats = gap_features(w.surface, gap, template)
-            ids = []
-            for f in feats:
-                if f not in feature_index:
-                    if not grow:
-                        continue
-                    feature_index[f] = len(feature_index)
-                ids.append(feature_index[f])
-            rows.append(sorted(ids))
-            targets.append(1.0 if gap in bounds else 0.0)
-    return rows, np.asarray(targets)
+        rows.extend(gap_rows)
+        targets.extend(1.0 if gap in bounds else 0.0 for gap in range(1, len(gap_rows) + 1))
+    return _design_matrix(rows, len(feature_index)), np.asarray(targets)
 
 
 def logistic_objective(
@@ -200,24 +253,22 @@ def logistic_objective(
     words = list(batch)
     if not words:
         raise DomainError("logistic_objective needs a non-empty batch")
-    rows, targets = _logistic_rows(words, model.feature_index, model.template, grow=False)
-    return _logistic_value(model.weights, rows, targets, model.l2_lambda)
+    X, targets = _logistic_rows(words, model.feature_index, model.template, grow=False)
+    return _logistic_value(model.weights, X, targets, model.l2_lambda)
 
 
-def _logistic_value(weights, rows, targets, l2):
-    m = len(rows)
+def _logistic_value(weights, X, targets, l2):
+    m = X.shape[0]
     if m == 0:
         f = 0.5 * l2 * float(weights @ weights)
         return f, l2 * weights
-    z = np.array([weights[ids].sum() for ids in rows])
+    z = X @ weights
     # log(1 + exp(-s*z)) with s = +-1 for target 1/0
     sign = 2.0 * targets - 1.0
     losses = np.logaddexp(0.0, -sign * z)
     sigma = 1.0 / (1.0 + np.exp(-z))
     coeff = (sigma - targets) / m
-    grad = l2 * weights
-    for ids, c in zip(rows, coeff):
-        grad[ids] += c
+    grad = l2 * weights + X.T @ coeff
     f = float(losses.mean()) + 0.5 * l2 * float(weights @ weights)
     return f, grad
 
@@ -239,11 +290,11 @@ def train_boundary_logistic(
     if not words:
         raise DomainError("train_boundary_logistic needs a non-empty corpus")
     feature_index: dict[str, int] = {}
-    rows, targets = _logistic_rows(words, feature_index, template, grow=True)
+    X, targets = _logistic_rows(words, feature_index, template, grow=True)
     x0 = np.zeros(len(feature_index))
-    if rows:
+    if X.shape[0]:
         result = minimize(
-            lambda w: _logistic_value(w, rows, targets, config.l2_lambda),
+            lambda w: _logistic_value(w, X, targets, config.l2_lambda),
             x0,
             config,
             context="boundary logistic training",

@@ -17,12 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from ..corpus import (
     Corpus,
     Label,
-    LabelSequence,
     SegmentedWord,
     decode_labels,
     encode_labels,
@@ -74,30 +72,28 @@ class CrfModel:
         n_f = len(self.feature_index)
         return self.weights[n_f * N_LABELS:].reshape(N_LABELS, N_LABELS)
 
-    def feature_ids(self, surface: str) -> list[np.ndarray]:
-        """Known-feature ids per position; unseen features are dropped."""
-        out = []
-        for pos in range(len(graphemes(surface))):
-            feats = extract_features(surface, pos, self.template)
-            ids = sorted(
-                self.feature_index[f] for f in feats if f in self.feature_index
-            )
-            out.append(np.asarray(ids, dtype=np.int64))
-        return out
-
     def emissions(self, surface: str) -> np.ndarray:
         """Per-position label scores, shape (L, 6)."""
-        fids = self.feature_ids(surface)
-        W = self.emission
-        E = np.zeros((len(fids), N_LABELS))
-        for i, ids in enumerate(fids):
-            if len(ids):
-                E[i] = W[ids].sum(axis=0)
-        return E
+        (group,) = _build_groups([surface], self.feature_index, self.template)
+        return _group_emissions(group, self.emission)[0]
 
     def segment(self, surface: str) -> SegmentedWord:
-        ids, _ = viterbi_raw(self, surface)
-        return decode_labels(surface, (Label.START,) + ids + (Label.END,))
+        return self.segment_batch([surface])[0]
+
+    def segment_batch(self, surfaces) -> list[SegmentedWord]:
+        """Viterbi-decode every surface, one vectorized pass per word length."""
+        surfaces = list(surfaces)
+        if not all(surfaces):
+            raise DomainError("surface must be non-empty")
+        out: list[SegmentedWord | None] = [None] * len(surfaces)
+        W, T = self.emission, self.transition
+        for grp in _build_groups(surfaces, self.feature_index, self.template):
+            paths, _ = _viterbi(_group_emissions(grp, W), T)
+            for k, path in zip(grp.members, paths.tolist()):
+                out[k] = decode_labels(
+                    surfaces[k], (Label.START, *map(Label, path), Label.END)
+                )
+        return out
 
     def to_dict(self) -> dict:
         order = sorted(self.feature_index, key=self.feature_index.__getitem__)
@@ -121,46 +117,91 @@ class CrfModel:
         )
 
 
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a))) along ``axis``, shifted by the maximum.
+
+    The same arithmetic as ``scipy.special.logsumexp`` on finite input
+    (maxima left out of the sum, log1p of the rest over their count), so
+    results match it bit for bit, without its per-call overhead.
+    """
+    a_max = a.max(axis=axis, keepdims=True)
+    is_max = a == a_max
+    m = is_max.sum(axis=axis, keepdims=True, dtype=a.dtype)
+    s = np.where(is_max, 0.0, np.exp(a - a_max)).sum(axis=axis, keepdims=True)
+    return (np.log1p(s / m) + np.log(m) + a_max).squeeze(axis)
+
+
+def _position_ids(surface, feature_index, template, grow=False) -> list[list[int]]:
+    """Sorted feature ids per grapheme position of ``surface``.
+
+    Features missing from ``feature_index`` are dropped, or, with ``grow``,
+    appended to it in sorted order.
+    """
+    out = []
+    for pos in range(len(graphemes(surface))):
+        ids = []
+        for f in sorted(extract_features(surface, pos, template)):
+            i = feature_index.get(f)
+            if i is None:
+                if not grow:
+                    continue
+                i = feature_index[f] = len(feature_index)
+            ids.append(i)
+        out.append(sorted(ids))
+    return out
+
+
 class _Group:
-    """Words of one length, feature occurrences flattened for scatter ops."""
+    """Words of one length, feature occurrences flattened for scatter ops.
 
-    __slots__ = ("length", "n", "f_flat", "row_flat", "gold")
+    ``members`` are the words' positions in the input; occurrence i is
+    feature ``f_flat[i]`` at flat position ``row_flat[i]`` (word * length +
+    position). ``gold_T`` counts the gold transitions, bookends included.
+    """
 
-    def __init__(self, length, n, f_flat, row_flat, gold):
+    __slots__ = ("length", "n", "members", "f_flat", "row_flat", "gold", "gold_T")
+
+    def __init__(self, length, members, f_flat, row_flat, gold):
         self.length = length
-        self.n = n
+        self.n = len(members)
+        self.members = members
         self.f_flat = f_flat
         self.row_flat = row_flat
         self.gold = gold
+        self.gold_T = None
+        if gold is not None:
+            src = np.hstack([np.full((self.n, 1), START_ID), gold])
+            dst = np.hstack([gold, np.full((self.n, 1), END_ID)])
+            self.gold_T = np.bincount(
+                (src * N_LABELS + dst).ravel(), minlength=N_LABELS * N_LABELS
+            ).reshape(N_LABELS, N_LABELS)
 
 
-def _build_groups(words, feature_index, template, with_gold=True):
+def _build_groups(words, feature_index, template, with_gold=False, grow=False):
+    """Group ``words`` by grapheme length, each position's features extracted once.
+
+    ``words`` are surfaces, or :class:`SegmentedWord` when ``with_gold``;
+    ``grow`` adds unseen features to ``feature_index`` in corpus order.
+    """
     by_len: dict[int, list] = {}
-    for w in words:
-        fids = []
-        for pos in range(len(graphemes(w.surface))):
-            feats = extract_features(w.surface, pos, template)
-            fids.append(sorted(feature_index[f] for f in feats if f in feature_index))
-        gold = (
-            [int(lab) for lab in encode_labels(w).interior()] if with_gold else None
-        )
-        by_len.setdefault(len(fids), []).append((fids, gold))
+    for k, w in enumerate(words):
+        surface = w.surface if with_gold else w
+        fids = _position_ids(surface, feature_index, template, grow)
+        gold = [int(lab) for lab in encode_labels(w).interior()] if with_gold else None
+        by_len.setdefault(len(fids), []).append((k, fids, gold))
     groups = []
     for length in sorted(by_len):
         items = by_len[length]
-        n = len(items)
         f_parts, row_parts = [], []
-        for k, (fids, _) in enumerate(items):
+        for j, (_, fids, _) in enumerate(items):
             for i, ids in enumerate(fids):
                 f_parts.extend(ids)
-                row_parts.extend([k * length + i] * len(ids))
-        gold = (
-            np.asarray([g for _, g in items], dtype=np.int64) if with_gold else None
-        )
+                row_parts.extend([j * length + i] * len(ids))
+        gold = np.asarray([g for _, _, g in items], dtype=np.int64) if with_gold else None
         groups.append(
             _Group(
                 length=length,
-                n=n,
+                members=[k for k, _, _ in items],
                 f_flat=np.asarray(f_parts, dtype=np.int64),
                 row_flat=np.asarray(row_parts, dtype=np.int64),
                 gold=gold,
@@ -170,10 +211,13 @@ def _build_groups(words, feature_index, template, with_gold=True):
 
 
 def _group_emissions(group: _Group, W_e: np.ndarray) -> np.ndarray:
-    E_flat = np.zeros((group.n * group.length, N_LABELS))
-    if len(group.f_flat):
-        np.add.at(E_flat, group.row_flat, W_e[group.f_flat])
-    return E_flat.reshape(group.n, group.length, N_LABELS)
+    """Summed emission weights, shape (n, length, 6)."""
+    rows = group.n * group.length
+    occurrences = W_e.T[:, group.f_flat]
+    E = np.empty((rows, N_LABELS))
+    for lab in range(N_LABELS):
+        E[:, lab] = np.bincount(group.row_flat, weights=occurrences[lab], minlength=rows)
+    return E.reshape(group.n, group.length, N_LABELS)
 
 
 def _objective_and_grad(weights, groups, n_words, n_features, l2):
@@ -191,15 +235,15 @@ def _objective_and_grad(weights, groups, n_words, n_features, l2):
         a = T[START_ID][None, :] + E[:, 0]
         alphas[0] = a
         for i in range(1, L):
-            a = logsumexp(a[:, :, None] + T[None, :, :], axis=1) + E[:, i]
+            a = _logsumexp(a[:, :, None] + T[None, :, :], axis=1) + E[:, i]
             alphas[i] = a
-        log_z = logsumexp(a + T[:, END_ID][None, :], axis=1)
+        log_z = _logsumexp(a + T[:, END_ID][None, :], axis=1)
 
         betas = np.empty((L, n, N_LABELS))
         b = np.broadcast_to(T[:, END_ID], (n, N_LABELS)).copy()
         betas[L - 1] = b
         for i in range(L - 2, -1, -1):
-            b = logsumexp(T[None, :, :] + (E[:, i + 1] + b)[:, None, :], axis=2)
+            b = _logsumexp(T[None, :, :] + (E[:, i + 1] + b)[:, None, :], axis=2)
             betas[i] = b
 
         marg = np.exp(alphas + betas - log_z[None, :, None])
@@ -213,9 +257,10 @@ def _objective_and_grad(weights, groups, n_words, n_features, l2):
 
         # expected minus observed emissions, scattered onto feature rows
         diff = marg.transpose(1, 0, 2).reshape(n * L, N_LABELS).copy()
-        np.subtract.at(diff, (np.arange(n * L), grp.gold.ravel()), 1.0)
-        if len(grp.f_flat):
-            np.add.at(gW, grp.f_flat, diff[grp.row_flat])
+        diff[np.arange(n * L), grp.gold.ravel()] -= 1.0
+        occurrences = diff.T[:, grp.row_flat]
+        for lab in range(N_LABELS):
+            gW[:, lab] += np.bincount(grp.f_flat, weights=occurrences[lab], minlength=n_features)
 
         gT[START_ID] += marg[0].sum(axis=0)
         gT[:, END_ID] += marg[L - 1].sum(axis=0)
@@ -227,10 +272,7 @@ def _objective_and_grad(weights, groups, n_words, n_features, l2):
                 - log_z[:, None, None]
             )
             gT += xi.sum(axis=0)
-        np.subtract.at(gT, (np.full(n, START_ID), grp.gold[:, 0]), 1.0)
-        np.subtract.at(gT, (grp.gold[:, -1], np.full(n, END_ID)), 1.0)
-        if L > 1:
-            np.subtract.at(gT, (grp.gold[:, :-1].ravel(), grp.gold[:, 1:].ravel()), 1.0)
+        gT -= grp.gold_T
 
     objective = total_nll / n_words + 0.5 * l2 * float(weights @ weights)
     grad = raw_grad / n_words + l2 * weights
@@ -245,8 +287,8 @@ def crf_log_partition(model: CrfModel, surface: str) -> float:
     T = model.transition
     a = T[START_ID] + E[0]
     for i in range(1, len(E)):
-        a = logsumexp(a[:, None] + T, axis=0) + E[i]
-    return float(logsumexp(a + T[:, END_ID]))
+        a = _logsumexp(a[:, None] + T, axis=0) + E[i]
+    return float(_logsumexp(a + T[:, END_ID], axis=0))
 
 
 def crf_gradient(model: CrfModel, batch) -> tuple[float, np.ndarray]:
@@ -259,10 +301,31 @@ def crf_gradient(model: CrfModel, batch) -> tuple[float, np.ndarray]:
     words = list(batch)
     if not words:
         raise DomainError("crf_gradient needs a non-empty batch")
-    groups = _build_groups(words, model.feature_index, model.template)
+    groups = _build_groups(words, model.feature_index, model.template, with_gold=True)
     return _objective_and_grad(
         model.weights, groups, len(words), len(model.feature_index), model.l2_lambda
     )
+
+
+def _viterbi(E: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best interior label paths (n, L) and their scores (n,) for emissions (n, L, 6).
+
+    Every argmax takes the first maximum, so ties go to the lower label index.
+    """
+    n, length, _ = E.shape
+    v = T[START_ID][None, :] + E[:, 0]
+    back = np.empty((length, n, N_LABELS), dtype=np.int64)
+    for i in range(1, length):
+        scores = v[:, :, None] + T[None, :, :]
+        back[i] = np.argmax(scores, axis=1)
+        v = scores.max(axis=1) + E[:, i]
+    v = v + T[:, END_ID][None, :]
+    rows = np.arange(n)
+    paths = np.empty((n, length), dtype=np.int64)
+    paths[:, -1] = np.argmax(v, axis=1)
+    for i in range(length - 1, 0, -1):
+        paths[:, i - 1] = back[i][rows, paths[:, i]]
+    return paths, v[rows, paths[:, -1]]
 
 
 def viterbi_raw(model: CrfModel, surface: str) -> tuple[tuple[Label, ...], float]:
@@ -272,31 +335,10 @@ def viterbi_raw(model: CrfModel, surface: str) -> tuple[tuple[Label, ...], float
     all-zero-weight model returns the lexicographically first sequence.
     """
     E = model.emissions(surface)
-    length = len(E)
-    if length == 0:
+    if len(E) == 0:
         raise DomainError("surface must be non-empty")
-    T = model.transition
-    v = T[START_ID] + E[0]
-    back = np.empty((length, N_LABELS), dtype=np.int64)
-    for i in range(1, length):
-        scores = v[:, None] + T
-        back[i] = np.argmax(scores, axis=0)
-        v = scores[back[i], np.arange(N_LABELS)] + E[i]
-    v = v + T[:, END_ID]
-    last = int(np.argmax(v))
-    score = float(v[last])
-    path = [last]
-    for i in range(length - 1, 0, -1):
-        path.append(int(back[i, path[-1]]))
-    path.reverse()
-    return tuple(Label(p) for p in path), score
-
-
-def viterbi_decode(model: CrfModel, surface: str) -> LabelSequence:
-    """Argmax labels, repaired into a valid LabelSequence."""
-    ids, _ = viterbi_raw(model, surface)
-    word = decode_labels(surface, (Label.START,) + ids + (Label.END,))
-    return encode_labels(word)
+    paths, scores = _viterbi(E[None], model.transition)
+    return tuple(Label(p) for p in paths[0].tolist()), float(scores[0])
 
 
 def train_crf(
@@ -316,12 +358,7 @@ def train_crf(
     if not words:
         raise DomainError("train_crf needs a non-empty corpus")
     feature_index: dict[str, int] = {}
-    for w in words:
-        for pos in range(len(graphemes(w.surface))):
-            for f in sorted(extract_features(w.surface, pos, template)):
-                if f not in feature_index:
-                    feature_index[f] = len(feature_index)
-    groups = _build_groups(words, feature_index, template)
+    groups = _build_groups(words, feature_index, template, with_gold=True, grow=True)
     n_features = len(feature_index)
     x0 = np.zeros(n_features * N_LABELS + N_LABELS * N_LABELS)
 

@@ -3,11 +3,13 @@
 Two optimizers: batch L-BFGS (scipy, memory 10) and plain gradient descent
 with Armijo backtracking. Both treat ``convergence_tol`` as a relative
 objective-decrease threshold and stop at ``max_iterations``. A non-finite
-objective or gradient raises :class:`TrainingError` with diagnostics.
+objective or gradient raises :class:`TrainingError` with diagnostics; a run
+that stops without converging logs a warning.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +19,8 @@ from ..errors import TrainingError, ValidationError
 
 OPTIMIZERS = ("lbfgs", "gradient_descent")
 LBFGS_MEMORY = 10
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -72,6 +76,16 @@ def minimize(fun, x0: np.ndarray, config: TrainConfig, context: str = "training"
     The history holds the accepted objective value per iteration; for
     gradient descent it is monotone non-increasing by construction.
     """
+    result = _run(fun, x0, config, context)
+    if not result.converged:
+        logger.warning(
+            "%s: stopped without converging after %d iterations (objective %.10g)",
+            context, result.iterations, result.objective,
+        )
+    return result
+
+
+def _run(fun, x0: np.ndarray, config: TrainConfig, context: str) -> OptimResult:
     wrapped, state = _checked(fun, context)
     if config.optimizer == "lbfgs":
         history: list[float] = []

@@ -1,8 +1,9 @@
 """Experiment orchestration over the split grid.
 
 A run expands every (language, generation mode, residual strategy)
-combination into grid cells, trains each configured model
-``seeds_per_model`` times per cell, scores eval and new-test sets, persists
+combination into grid cells, trains each configured model per cell
+(``seeds_per_model`` times if it reads its seed, else once with its scores
+counted that many times), scores eval and new-test sets, persists
 one JSON artifact per cell, and emits per-language and pooled CSVs plus a
 resumable ledger. There is one run path: ``resume`` completes the cells a
 saved ledger lacks, and ``run_experiment`` is the same step from an empty
@@ -367,7 +368,10 @@ def compute_cell(corpus: Corpus, cell: GridCell, config: RunConfig) -> dict:
             sid = SegmenterId.parse(spec)
             key = sid.key()
             per_seed: dict[str, list[ScoreTriple]] = {t: [] for t in tables}
-            for k in range(config.seeds_per_model):
+            # A model that ignores its seed is trained once; its triple is
+            # averaged k times, since (p + p + p) / 3 need not be p in floats.
+            copies = 1 if sid.seeded else config.seeds_per_model
+            for k in range(config.seeds_per_model // copies):
                 seed = derive_seed(config.master_seed, cell.cell_id, key, k)
                 model = train_segmenter(
                     sid,
@@ -387,7 +391,7 @@ def compute_cell(corpus: Corpus, cell: GridCell, config: RunConfig) -> dict:
                         corpus_f1(new_gold, pred_new, variant, config.f1_average)
                     )
             for table, triples in per_seed.items():
-                tables[table][key] = mean_triple(triples)
+                tables[table][key] = mean_triple(triples * copies)
 
     def ranked(side: str) -> ModelRanking:
         scores = {m: t.f1 for m, t in tables[f"{config.f1_variant}_{side}"].items()}

@@ -2,6 +2,10 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,6 +199,119 @@ class TestBoundaryLogistic:
     def test_empty_corpus_rejected(self):
         with pytest.raises(DomainError):
             train_boundary_logistic(Corpus((), language_tag="x"))
+
+    def test_saved_model_independent_of_hash_seed(self, tmp_path):
+        # the feature index (and so the saved feature order and weights) must
+        # not follow set iteration order, which PYTHONHASHSEED changes
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys\n"
+            "from morphsplit.corpus import SyntheticSpec, generate_synthetic_corpus\n"
+            "from morphsplit.models import save_model, train_boundary_logistic\n"
+            "corpus = generate_synthetic_corpus(SyntheticSpec(num_words=80, seed=5))\n"
+            "save_model(train_boundary_logistic(corpus), sys.argv[1])\n"
+        )
+        saved = []
+        for hash_seed in ("1", "2"):
+            path = tmp_path / f"model{hash_seed}.json"
+            proc = subprocess.run(
+                [sys.executable, "-c", code, str(path)],
+                capture_output=True, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": hash_seed},
+            )
+            assert proc.returncode == 0, proc.stderr
+            saved.append(path.read_bytes())
+        assert saved[0] == saved[1]
+
+
+def random_words(rng, count, alphabet="abcd"):
+    """Distinct random segmented words of 1-7 graphemes, some of one grapheme."""
+    words = {}
+    for _ in range(count):
+        n = int(rng.integers(1, 8))
+        surface = "".join(rng.choice(list(alphabet), size=n))
+        cuts = [0, *(int(c) for c in np.flatnonzero(rng.random(n - 1) < 0.4) + 1), n]
+        words[surface] = SegmentedWord(
+            surface, tuple(surface[i:j] for i, j in zip(cuts, cuts[1:]))
+        )
+    return list(words.values())
+
+
+def loop_gap_rows(model, words):
+    """Per-gap sorted known-feature ids and 0/1 targets, one gap at a time."""
+    rows, targets = [], []
+    for w in words:
+        bounds = set(itertools.accumulate(len(m) for m in w.morphemes[:-1]))
+        for gap in range(1, len(w.surface)):
+            feats = gap_features(w.surface, gap, model.template)
+            rows.append(sorted(model.feature_index[f] for f in feats if f in model.feature_index))
+            targets.append(1.0 if gap in bounds else 0.0)
+    return rows, np.asarray(targets)
+
+
+def loop_objective(model, words):
+    """The boundary-logistic objective with a Python loop over gaps."""
+    rows, targets = loop_gap_rows(model, words)
+    w, l2 = model.weights, model.l2_lambda
+    z = np.array([w[ids].sum() for ids in rows])
+    sign = 2.0 * targets - 1.0
+    sigma = 1.0 / (1.0 + np.exp(-z))
+    grad = l2 * w
+    for ids, c in zip(rows, (sigma - targets) / len(rows)):
+        grad[ids] += c
+    return float(np.logaddexp(0.0, -sign * z).mean()) + 0.5 * l2 * float(w @ w), grad
+
+
+def loop_segment(model, surface):
+    """Cut at every gap whose summed known-feature weight is positive."""
+    cuts = [0]
+    for gap in range(1, len(surface)):
+        feats = gap_features(surface, gap, model.template)
+        z = sum(model.weights[model.feature_index[f]] for f in feats if f in model.feature_index)
+        if z > 0.0:
+            cuts.append(gap)
+    cuts.append(len(surface))
+    return tuple(surface[i:j] for i, j in zip(cuts, cuts[1:]))
+
+
+class TestBoundaryLogisticKernels:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_objective_matches_gap_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        words = random_words(rng, 30)
+        trained = train_boundary_logistic(Corpus(tuple(words), language_tag="r"))
+        model = BoundaryLogisticModel(
+            feature_index=trained.feature_index,
+            weights=rng.standard_normal(len(trained.feature_index)),
+            template=trained.template,
+            l2_lambda=0.1 * seed,
+        )
+        batch = words + random_words(rng, 10, alphabet="abcde")
+        f, grad = logistic_objective(model, batch)
+        f_ref, grad_ref = loop_objective(model, batch)
+        assert abs(f - f_ref) <= 1e-12
+        np.testing.assert_allclose(grad, grad_ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_segment_batch_matches_per_word_segment(self, seed):
+        rng = np.random.default_rng(10 + seed)
+        words = random_words(rng, 40)
+        trained = train_boundary_logistic(Corpus(tuple(words), language_tag="r"))
+        # halves sum exactly in any order, so z == 0 ties are exact and frequent
+        weights = 0.5 * rng.integers(-2, 3, size=len(trained.feature_index))
+        model = BoundaryLogisticModel(
+            trained.feature_index, weights.astype(float), trained.template, 0.0
+        )
+        surfaces = [w.surface for w in random_words(rng, 60, alphabet="abcde")]
+        assert any(len(s) == 1 for s in surfaces)
+        batch = model.segment_batch(surfaces)
+        assert [w.morphemes for w in batch] == [loop_segment(model, s) for s in surfaces]
+        assert batch == [model.segment(s) for s in surfaces]
+
+    def test_segment_batch_rejects_empty_surface(self):
+        model = train_boundary_logistic(toy_corpus(), template=SMALL)
+        with pytest.raises(DomainError):
+            model.segment_batch(["walk", ""])
 
 
 class TestLongestMatch:

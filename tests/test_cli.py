@@ -392,11 +392,13 @@ class TestInstalledEntryPoint:
         assert out.exists()
 
     def test_module_invocation(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
         out = tmp_path / "c.tsv"
         proc = subprocess.run(
             [sys.executable, "-m", "morphsplit.cli", "synth",
              "--output", str(out), "--words", "10"],
             capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()

@@ -1,6 +1,7 @@
 """Linear-chain CRF: partition function, gradients, decoding, training."""
 
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -12,6 +13,8 @@ from morphsplit.corpus import (
     Label,
     SegmentedWord,
     SyntheticSpec,
+    decode_labels,
+    encode_labels,
     generate_synthetic_corpus,
     graphemes,
 )
@@ -24,7 +27,6 @@ from morphsplit.models import (
     crf_log_partition,
     minimize,
     train_crf,
-    viterbi_decode,
     viterbi_raw,
 )
 
@@ -114,6 +116,19 @@ class TestLogPartition:
         assert np.isfinite(value)
 
 
+class TestLogSumExp:
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("whole", [False, True])
+    def test_matches_scipy_bit_for_bit(self, axis, whole):
+        from morphsplit.models.crf import _logsumexp
+
+        rng = np.random.default_rng(axis)
+        a = 3.0 * rng.standard_normal((7, 6, 6))
+        if whole:
+            a = np.round(a)  # repeated maxima
+        np.testing.assert_array_equal(_logsumexp(a, axis=axis), logsumexp(a, axis=axis))
+
+
 class TestViterbi:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("surface", ["ab", "abc", "abca", "abcab"])
@@ -150,12 +165,55 @@ class TestViterbi:
 
     def test_decode_repairs_to_valid_sequence(self):
         model = make_model(["abc"], seed=5)
-        seq = viterbi_decode(model, "abc")
+        seq = encode_labels(model.segment("abc"))
         assert seq.labels[0] == Label.START and seq.labels[-1] == Label.END
 
     def test_zero_model_segments_every_grapheme(self):
         model = make_model(["walked"], scale=0.0)
         assert model.segment("walked").morphemes == ("w", "a", "l", "k", "e", "d")
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_segment_batch_matches_per_word_viterbi(self, seed, quantized):
+        rng = np.random.default_rng(seed)
+        surfaces = sorted({
+            "".join(rng.choice(list("abcde"), size=int(rng.integers(1, 7))))
+            for _ in range(80)
+        })
+        assert any(len(s) == 1 for s in surfaces)
+        model = make_model(surfaces[::2], seed=seed)
+        if quantized:
+            # whole-number weights sum exactly, so equal-scoring paths tie exactly
+            model.weights[:] = rng.integers(-1, 2, size=len(model.weights))
+        batch = model.segment_batch(surfaces)
+        for surface, got in zip(surfaces, batch):
+            labels = (Label.START, *map(Label, loop_viterbi(model, surface)), Label.END)
+            assert got == decode_labels(surface, labels)
+            assert got == model.segment(surface)
+
+    def test_segment_batch_rejects_empty_surface(self):
+        model = make_model(["abc"], seed=1)
+        with pytest.raises(DomainError):
+            model.segment_batch(["abc", ""])
+
+
+def loop_viterbi(model, surface):
+    """Best interior label ids of one word, one position at a time.
+
+    Each argmax takes the first maximum, so ties go to the lower label.
+    """
+    E = model.emissions(surface)
+    T = model.transition
+    v = T[Label.START] + E[0]
+    back = []
+    for i in range(1, len(E)):
+        scores = v[:, None] + T
+        back.append(np.argmax(scores, axis=0))
+        v = scores.max(axis=0) + E[i]
+    path = [int(np.argmax(v + T[:, Label.END]))]
+    for b in reversed(back):
+        path.append(int(b[path[-1]]))
+    return path[::-1]
 
 
 class TestGradient:
@@ -344,6 +402,35 @@ class TestMinimize:
         )
         assert result.history[0] == pytest.approx(1.0)
         assert all(b <= a for a, b in zip(result.history, result.history[1:]))
+
+    @pytest.mark.parametrize("optimizer", ["lbfgs", "gradient_descent"])
+    def test_stopping_unconverged_logs_a_warning(self, optimizer, caplog):
+        scale = np.array([1.0, 10.0, 100.0])
+
+        def fun(x):
+            d = x - 1.0
+            return 0.5 * float(scale * d @ d), scale * d
+
+        with caplog.at_level(logging.WARNING, logger="morphsplit.models.optim"):
+            result = minimize(
+                fun, np.zeros(3), TrainConfig(optimizer=optimizer, max_iterations=1),
+                context="toy training",
+            )
+        assert not result.converged
+        (record,) = caplog.records
+        assert record.levelno == logging.WARNING
+        assert "toy training" in record.getMessage()
+        assert "1 iterations" in record.getMessage()
+        assert f"{result.objective:.10g}" in record.getMessage()
+
+    @pytest.mark.parametrize("optimizer", ["lbfgs", "gradient_descent"])
+    def test_converged_run_logs_nothing(self, optimizer, caplog):
+        with caplog.at_level(logging.WARNING, logger="morphsplit.models.optim"):
+            result = minimize(
+                self.quad(np.ones(2)), np.zeros(2), TrainConfig(optimizer=optimizer)
+            )
+        assert result.converged
+        assert caplog.records == []
 
     @pytest.mark.parametrize("optimizer", ["lbfgs", "gradient_descent"])
     def test_non_finite_objective_raises(self, optimizer):

@@ -1,9 +1,11 @@
 """End-to-end experiment orchestration: determinism, resume, reports."""
 
 import csv
+import hashlib
 import json
 import re
 import shutil
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from typing import get_type_hints
@@ -232,6 +234,56 @@ class TestComputeCell:
         assert {r["score_on"] for r in records} == {"eval", "new"}
         strategy_bit = 1 if cell.residual_strategy == "random" else 0
         assert all(r["strategy"] == strategy_bit for r in records)
+
+
+ALL_MODELS = ("boundary_logistic", "crf", "longest_match", "unigram_viterbi")
+
+
+class TestTrainOnce:
+    """Models that ignore their seed train once per cell; scores count k times."""
+
+    def test_only_seeded_models_retrain_per_seed(self, corpus_file, tmp_path, monkeypatch):
+        adapter = tmp_path / "echo.py"
+        adapter.write_text(
+            "import sys\n"
+            "train, inp, out = sys.argv[1:4]\n"
+            "open(out, 'w').write(open(inp).read())\n"
+        )
+        calls = []
+
+        def counted(segmenter, corpus, *args, _train=R.train_segmenter, **kwargs):
+            calls.append((segmenter.name, kwargs["config"].seed))
+            return _train(segmenter, corpus, *args, **kwargs)
+
+        monkeypatch.setattr(R, "train_segmenter", counted)
+        cfg = make_config(
+            corpus_file, tmp_path / "run",
+            models=(*ALL_MODELS, f"external:python3 {adapter}"),
+            seeds_per_model=3,
+        )
+        corpora = R._load_corpora(cfg)
+        _, _, cell = R.enumerate_cells(cfg, corpora)[0]
+        R.compute_cell(corpora[0][1], cell, cfg)
+        assert Counter(name for name, _ in calls) == {
+            "boundary_logistic": 1, "crf": 1, "longest_match": 1, "unigram_viterbi": 1,
+            "external": 3,
+        }
+        assert len({seed for name, seed in calls if name == "external"}) == 3
+
+    def test_artifacts_match_pinned_digests(self, tmp_path):
+        pinned = json.loads(
+            (Path(__file__).parent / "data" / "four_models_seeds3_v1.json").read_text()
+        )["files"]
+        cfg = make_config(
+            write_synthetic(tmp_path / "synA.tsv"), tmp_path / "run",
+            models=ALL_MODELS, seeds_per_model=3,
+        )
+        R.run_experiment(cfg)
+        got = {
+            name: hashlib.sha256(data).hexdigest()
+            for name, data in csv_bytes(cfg.output_dir).items()
+        }
+        assert got == pinned
 
 
 class TestSmokeRun:
