@@ -32,7 +32,7 @@ from .crf import (
     viterbi_raw,
 )
 from .external import ExternalModel, external_segment, train_external
-from .features import FeatureTemplate, extract_features
+from .features import FeatureTable, FeatureTemplate, extract_features
 from .optim import LBFGS_MEMORY, OPTIMIZERS, OptimResult, TrainConfig, minimize
 
 BUILTIN_SEGMENTERS = ("boundary_logistic", "crf", "longest_match", "unigram_viterbi")
@@ -83,6 +83,11 @@ class SegmenterId:
         """Whether training reads ``TrainConfig.seed``; only ``external`` does."""
         return self.name == "external"
 
+    @property
+    def featurized(self) -> bool:
+        """Whether training reads a :class:`FeatureTable`."""
+        return self.name in ("boundary_logistic", "crf")
+
     def key(self) -> str:
         """Stable identifier used in result tables and rankings."""
         if self.name == "external":
@@ -97,21 +102,22 @@ def train_segmenter(
     config: TrainConfig | None = None,
     unigram_smoothing: float = 0.1,
     workdir: str | Path | None = None,
+    table: FeatureTable | None = None,
 ):
     """Train the identified model on ``corpus`` and return it.
 
-    ``template`` and ``config`` apply to the feature-based models; the
-    unigram model takes ``unigram_smoothing``; the external adapter needs
-    ``workdir`` to hold its train file.
+    ``template``, ``config`` and a shared feature ``table`` apply to the
+    feature-based models; the unigram model takes ``unigram_smoothing``; the
+    external adapter needs ``workdir`` to hold its train file.
     """
     if isinstance(segmenter, str):
         segmenter = SegmenterId.parse(segmenter)
     if segmenter.name == "crf":
-        return train_crf(corpus, template=template, config=config)
+        return train_crf(corpus, template=template, config=config, table=table)
     if segmenter.name == "unigram_viterbi":
         return train_unigram_viterbi(corpus, smoothing=unigram_smoothing)
     if segmenter.name == "boundary_logistic":
-        return train_boundary_logistic(corpus, template=template, config=config)
+        return train_boundary_logistic(corpus, template=template, config=config, table=table)
     if segmenter.name == "longest_match":
         return train_longest_match(corpus)
     if workdir is None:
@@ -154,6 +160,7 @@ __all__ = [
     "BoundaryLogisticModel",
     "CrfModel",
     "ExternalModel",
+    "FeatureTable",
     "FeatureTemplate",
     "LBFGS_MEMORY",
     "LongestMatchModel",

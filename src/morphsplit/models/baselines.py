@@ -7,14 +7,23 @@ concatenation invariant by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
 
 from ..corpus import Corpus, SegmentedWord, graphemes
 from ..errors import DomainError, ValidationError
-from .features import FeatureTemplate, extract_features
+from .features import (
+    FeatureTable,
+    FeatureTemplate,
+    extract_features,
+    index_ranks,
+    localize,
+    rank_ids,
+    table_rows,
+    train_template,
+)
 from .optim import TrainConfig, minimize
 
 
@@ -125,63 +134,44 @@ def _gap_names(left, right) -> list[str]:
     return ["BIAS", *(f"L:{f}" for f in sorted(left)), *(f"R:{f}" for f in sorted(right))]
 
 
-def _gap_ids(surface, feature_index, template, grow) -> list[list[int]]:
-    """Sorted feature ids of each gap of ``surface``, as in :func:`gap_features`.
-
-    Each position's features are extracted once. Features missing from
-    ``feature_index`` are dropped, or, with ``grow``, appended to it in
-    sorted order gap by gap.
-    """
-    n = len(graphemes(surface))
-    if n < 2:
-        return []
-    feats = [extract_features(surface, pos, template) for pos in range(n)]
-    rows = []
-    for gap in range(1, n):
-        ids = []
-        for f in _gap_names(feats[gap - 1], feats[gap]):
-            i = feature_index.get(f)
-            if i is None:
-                if not grow:
-                    continue
-                i = feature_index[f] = len(feature_index)
-            ids.append(i)
-        rows.append(sorted(ids))
-    return rows
-
-
-def _design_matrix(rows: list[list[int]], n_features: int) -> sparse.csr_matrix:
-    """One 0/1 row per gap over the feature columns."""
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum([len(ids) for ids in rows], out=indptr[1:])
-    indices = np.fromiter((i for ids in rows for i in ids), dtype=np.int64, count=indptr[-1])
+def _design_matrix(ids: np.ndarray, ptr: np.ndarray, n_features: int) -> sparse.csr_matrix:
+    """One 0/1 row per gap over the feature columns, from CSR ids."""
     return sparse.csr_matrix(
-        (np.ones(len(indices)), indices, indptr), shape=(len(rows), n_features)
+        (np.ones(len(ids)), ids, ptr), shape=(len(ptr) - 1, n_features)
     )
 
 
 @dataclass
 class BoundaryLogisticModel:
-    """Per-gap logistic regression; a boundary opens iff p > 0.5 strictly."""
+    """Per-gap logistic regression; a boundary opens iff p > 0.5 strictly.
+
+    ``table`` is the feature table the model was trained through and
+    ``table_ids`` the model's feature id of each of its gap ranks (-1 where
+    it has none); neither is serialized. Words outside the table are
+    featurized anew.
+    """
 
     feature_index: dict[str, int]
     weights: np.ndarray
     template: FeatureTemplate
     l2_lambda: float
+    table: FeatureTable | None = field(default=None, repr=False, compare=False)
+    table_ids: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights, dtype=float)
         if self.weights.shape != (len(self.feature_index),):
             raise ValidationError("weight length must match the feature index")
 
+    def _design(self, surfaces) -> sparse.csr_matrix:
+        """The design matrix of every gap of every surface, in order."""
+        table, rows = table_rows(self.table, surfaces, self.template)
+        local = self.table_ids if table is self.table else rank_ids(self.feature_index, table.gap_names)
+        return _design_matrix(*localize(*table.gap_ranks(rows), local), len(self.weights))
+
     def _gap_scores(self, surfaces) -> np.ndarray:
         """z = w . x for every gap of every surface, in order."""
-        rows = [
-            ids
-            for s in surfaces
-            for ids in _gap_ids(s, self.feature_index, self.template, grow=False)
-        ]
-        return _design_matrix(rows, len(self.weights)) @ self.weights
+        return self._design(surfaces) @ self.weights
 
     def gap_score(self, surface: str, gap: int) -> float:
         if not 1 <= gap <= len(graphemes(surface)) - 1:
@@ -230,20 +220,17 @@ class BoundaryLogisticModel:
         )
 
 
-def _logistic_rows(words, feature_index, template, grow: bool):
-    """Design matrix (gaps x features) and 0/1 boundary targets of ``words``."""
-    rows: list[list[int]] = []
+def _targets(words) -> np.ndarray:
+    """0/1 boundary targets of every gap of ``words``, in order."""
     targets: list[float] = []
     for w in words:
-        gap_rows = _gap_ids(w.surface, feature_index, template, grow)
         bounds = set()
         acc = 0
         for m in w.morphemes[:-1]:
             acc += len(graphemes(m))
             bounds.add(acc)
-        rows.extend(gap_rows)
-        targets.extend(1.0 if gap in bounds else 0.0 for gap in range(1, len(gap_rows) + 1))
-    return _design_matrix(rows, len(feature_index)), np.asarray(targets)
+        targets.extend(1.0 if gap in bounds else 0.0 for gap in range(1, w.grapheme_count()))
+    return np.asarray(targets)
 
 
 def logistic_objective(
@@ -253,8 +240,8 @@ def logistic_objective(
     words = list(batch)
     if not words:
         raise DomainError("logistic_objective needs a non-empty batch")
-    X, targets = _logistic_rows(words, model.feature_index, model.template, grow=False)
-    return _logistic_value(model.weights, X, targets, model.l2_lambda)
+    X = model._design(w.surface for w in words)
+    return _logistic_value(model.weights, X, _targets(words), model.l2_lambda)
 
 
 def _logistic_value(weights, X, targets, l2):
@@ -277,20 +264,26 @@ def train_boundary_logistic(
     corpus: Corpus,
     template: FeatureTemplate | None = None,
     config: TrainConfig | None = None,
+    table: FeatureTable | None = None,
 ) -> BoundaryLogisticModel:
     """Fit the per-gap boundary classifier by gradient descent.
 
     The bias enters as an ordinary always-on BIAS feature and is regularized
     with everything else. A corpus with no gaps (all single-grapheme words)
-    yields the zero model, which never splits.
+    yields the zero model, which never splits. The feature index follows
+    first occurrence over the gaps in corpus order, each gap's features by
+    name. Words are featurized through ``table`` when it holds them all.
     """
-    template = template if template is not None else FeatureTemplate()
+    template = train_template(template, table)
     config = config if config is not None else TrainConfig(optimizer="gradient_descent")
     words = list(corpus)
     if not words:
         raise DomainError("train_boundary_logistic needs a non-empty corpus")
-    feature_index: dict[str, int] = {}
-    X, targets = _logistic_rows(words, feature_index, template, grow=True)
+    table, rows = table_rows(table, (w.surface for w in words), template)
+    ranks, ptr = table.gap_ranks(rows)
+    feature_index, local = index_ranks(ranks, table.gap_names)
+    X = _design_matrix(*localize(ranks, ptr, local), len(feature_index))
+    targets = _targets(words)
     x0 = np.zeros(len(feature_index))
     if X.shape[0]:
         result = minimize(
@@ -307,6 +300,8 @@ def train_boundary_logistic(
         weights=weights,
         template=template,
         l2_lambda=config.l2_lambda,
+        table=table,
+        table_ids=local,
     )
 
 

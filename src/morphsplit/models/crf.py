@@ -24,10 +24,20 @@ from ..corpus import (
     SegmentedWord,
     decode_labels,
     encode_labels,
-    graphemes,
 )
 from ..errors import DomainError, ValidationError
-from .features import FeatureTemplate, extract_features
+# extract_features stays importable here: perfbench/tracing.py rebinds it
+from .features import (  # noqa: F401
+    FeatureTable,
+    FeatureTemplate,
+    concat_ranges,
+    extract_features,
+    index_ranks,
+    localize,
+    rank_ids,
+    table_rows,
+    train_template,
+)
 from .optim import OptimResult, TrainConfig, minimize
 
 N_LABELS = 6
@@ -37,7 +47,13 @@ END_ID = int(Label.END)
 
 @dataclass
 class CrfModel:
-    """A trained CRF: feature index, emission and transition weights."""
+    """A trained CRF: feature index, emission and transition weights.
+
+    ``table`` is the feature table the model was trained through and
+    ``table_ids`` the model's feature id of each of its ranks (-1 where it
+    has none); neither is serialized. Words outside the table are
+    featurized anew.
+    """
 
     label_set: tuple[Label, ...]
     feature_index: dict[str, int]
@@ -45,6 +61,8 @@ class CrfModel:
     template: FeatureTemplate
     l2_lambda: float
     history: tuple[float, ...] = field(default=(), repr=False, compare=False)
+    table: FeatureTable | None = field(default=None, repr=False, compare=False)
+    table_ids: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights, dtype=float)
@@ -72,9 +90,17 @@ class CrfModel:
         n_f = len(self.feature_index)
         return self.weights[n_f * N_LABELS:].reshape(N_LABELS, N_LABELS)
 
+    def _feature_ids(self, surfaces) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(ids, ptr, lengths): the known feature ids of every position of
+        ``surfaces``, CSR by position, and each surface's grapheme count."""
+        table, rows = table_rows(self.table, surfaces, self.template)
+        local = self.table_ids if table is self.table else rank_ids(self.feature_index, table.names)
+        ids, ptr = localize(*table.position_ranks(rows), local)
+        return ids, ptr, table.lengths[rows]
+
     def emissions(self, surface: str) -> np.ndarray:
         """Per-position label scores, shape (L, 6)."""
-        (group,) = _build_groups([surface], self.feature_index, self.template)
+        (group,) = _build_groups(*self._feature_ids([surface]))
         return _group_emissions(group, self.emission)[0]
 
     def segment(self, surface: str) -> SegmentedWord:
@@ -87,7 +113,7 @@ class CrfModel:
             raise DomainError("surface must be non-empty")
         out: list[SegmentedWord | None] = [None] * len(surfaces)
         W, T = self.emission, self.transition
-        for grp in _build_groups(surfaces, self.feature_index, self.template):
+        for grp in _build_groups(*self._feature_ids(surfaces)):
             paths, _ = _viterbi(_group_emissions(grp, W), T)
             for k, path in zip(grp.members, paths.tolist()):
                 out[k] = decode_labels(
@@ -131,26 +157,6 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return (np.log1p(s / m) + np.log(m) + a_max).squeeze(axis)
 
 
-def _position_ids(surface, feature_index, template, grow=False) -> list[list[int]]:
-    """Sorted feature ids per grapheme position of ``surface``.
-
-    Features missing from ``feature_index`` are dropped, or, with ``grow``,
-    appended to it in sorted order.
-    """
-    out = []
-    for pos in range(len(graphemes(surface))):
-        ids = []
-        for f in sorted(extract_features(surface, pos, template)):
-            i = feature_index.get(f)
-            if i is None:
-                if not grow:
-                    continue
-                i = feature_index[f] = len(feature_index)
-            ids.append(i)
-        out.append(sorted(ids))
-    return out
-
-
 class _Group:
     """Words of one length, feature occurrences flattened for scatter ops.
 
@@ -177,34 +183,29 @@ class _Group:
             ).reshape(N_LABELS, N_LABELS)
 
 
-def _build_groups(words, feature_index, template, with_gold=False, grow=False):
-    """Group ``words`` by grapheme length, each position's features extracted once.
+def _build_groups(ids, ptr, lengths, gold=None) -> list[_Group]:
+    """Group words by grapheme length, in increasing length.
 
-    ``words`` are surfaces, or :class:`SegmentedWord` when ``with_gold``;
-    ``grow`` adds unseen features to ``feature_index`` in corpus order.
+    ``ids``/``ptr`` hold each position's feature ids, CSR over the words'
+    positions in order, and ``lengths`` each word's grapheme count; ``gold``
+    gives each word's interior gold labels.
     """
-    by_len: dict[int, list] = {}
-    for k, w in enumerate(words):
-        surface = w.surface if with_gold else w
-        fids = _position_ids(surface, feature_index, template, grow)
-        gold = [int(lab) for lab in encode_labels(w).interior()] if with_gold else None
-        by_len.setdefault(len(fids), []).append((k, fids, gold))
+    counts = np.diff(ptr)
+    word_start = np.cumsum(lengths) - lengths
     groups = []
-    for length in sorted(by_len):
-        items = by_len[length]
-        f_parts, row_parts = [], []
-        for j, (_, fids, _) in enumerate(items):
-            for i, ids in enumerate(fids):
-                f_parts.extend(ids)
-                row_parts.extend([j * length + i] * len(ids))
-        gold = np.asarray([g for _, _, g in items], dtype=np.int64) if with_gold else None
+    for length in np.unique(lengths).tolist():
+        members = np.flatnonzero(lengths == length)
+        pos = (word_start[members][:, None] + np.arange(length)).ravel()
+        c = counts[pos]
         groups.append(
             _Group(
                 length=length,
-                members=[k for k, _, _ in items],
-                f_flat=np.asarray(f_parts, dtype=np.int64),
-                row_flat=np.asarray(row_parts, dtype=np.int64),
-                gold=gold,
+                members=members.tolist(),
+                f_flat=ids[concat_ranges(ptr[pos], c)],
+                row_flat=np.repeat(np.arange(len(pos), dtype=np.int64), c),
+                gold=None if gold is None else np.asarray(
+                    [gold[k] for k in members.tolist()], dtype=np.int64
+                ).reshape(len(members), length),
             )
         )
     return groups
@@ -301,7 +302,7 @@ def crf_gradient(model: CrfModel, batch) -> tuple[float, np.ndarray]:
     words = list(batch)
     if not words:
         raise DomainError("crf_gradient needs a non-empty batch")
-    groups = _build_groups(words, model.feature_index, model.template, with_gold=True)
+    groups = _build_groups(*model._feature_ids(w.surface for w in words), _gold(words))
     return _objective_and_grad(
         model.weights, groups, len(words), len(model.feature_index), model.l2_lambda
     )
@@ -341,24 +342,34 @@ def viterbi_raw(model: CrfModel, surface: str) -> tuple[tuple[Label, ...], float
     return tuple(Label(p) for p in paths[0].tolist()), float(scores[0])
 
 
+def _gold(words) -> list[list[int]]:
+    """Each word's interior gold labels, as ints."""
+    return [[int(lab) for lab in encode_labels(w).interior()] for w in words]
+
+
 def train_crf(
     corpus: Corpus,
     template: FeatureTemplate | None = None,
     config: TrainConfig | None = None,
+    table: FeatureTable | None = None,
 ) -> CrfModel:
     """Fit CRF weights on ``corpus`` by penalized maximum likelihood.
 
-    Deterministic for fixed inputs: the feature index follows corpus order,
+    Deterministic for fixed inputs: the feature index follows corpus order
+    (first occurrence over positions, each position's features by name),
     optimization starts at zero, and both optimizers are deterministic. The
-    accepted objective values are kept on the model's ``history``.
+    accepted objective values are kept on the model's ``history``. Words
+    are featurized through ``table`` when it holds them all.
     """
-    template = template if template is not None else FeatureTemplate()
+    template = train_template(template, table)
     config = config if config is not None else TrainConfig()
     words = list(corpus)
     if not words:
         raise DomainError("train_crf needs a non-empty corpus")
-    feature_index: dict[str, int] = {}
-    groups = _build_groups(words, feature_index, template, with_gold=True, grow=True)
+    table, rows = table_rows(table, (w.surface for w in words), template)
+    ranks, ptr = table.position_ranks(rows)
+    feature_index, local = index_ranks(ranks, table.names)
+    groups = _build_groups(*localize(ranks, ptr, local), table.lengths[rows], _gold(words))
     n_features = len(feature_index)
     x0 = np.zeros(n_features * N_LABELS + N_LABELS * N_LABELS)
 
@@ -373,4 +384,6 @@ def train_crf(
         template=template,
         l2_lambda=config.l2_lambda,
         history=result.history,
+        table=table,
+        table_ids=local,
     )

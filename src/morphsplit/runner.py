@@ -39,6 +39,8 @@ import time
 import traceback
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -60,7 +62,14 @@ from .evaluation import (
     rank_models,
     score_variability,
 )
-from .models import SegmenterId, TrainConfig, FeatureTemplate, segment_corpus, train_segmenter
+from .models import (
+    FeatureTable,
+    FeatureTemplate,
+    SegmenterId,
+    TrainConfig,
+    segment_corpus,
+    train_segmenter,
+)
 from .splitter import (
     DEFAULT_ADVERSARIAL_BUDGET,
     GRID_STRATEGIES,
@@ -345,11 +354,34 @@ def _sha256(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+# Feature tables of the corpora being computed, by language, each built on
+# the first cell with a feature model. `_execute` sets a fresh dict for an
+# inline run and a pool worker's initializer one for the worker's life;
+# outside both (compute_cell called on its own) there is none and each model
+# featurizes its own words. It is not an argument because compute_cell keeps
+# the (corpus, cell, config) signature that perfbench/tracing.py wraps.
+_FEATURE_TABLES: ContextVar[dict[str, FeatureTable] | None] = ContextVar(
+    "feature_tables", default=None
+)
+
+
+def _feature_table(corpus: Corpus, template: FeatureTemplate) -> FeatureTable | None:
+    tables = _FEATURE_TABLES.get()
+    if tables is None:
+        return None
+    table = tables.get(corpus.language_tag)
+    if table is None:
+        table = tables[corpus.language_tag] = FeatureTable((w.surface for w in corpus), template)
+    return table
+
+
 def compute_cell(corpus: Corpus, cell: GridCell, config: RunConfig) -> dict:
     """Train, segment, and score every model on one grid cell.
 
     Returns the persistable payload: the cell, its CellResult, and the
-    regression record rows (two per model, one per scored side).
+    regression record rows (two per model, one per scored side). Feature
+    models share the run's feature table of ``corpus``, if there is one; a
+    temporary directory is made only for ``external:`` models.
     """
     train = corpus.subset(cell.train_indices)
     eval_gold = [corpus[i] for i in cell.eval_indices]
@@ -363,9 +395,11 @@ def compute_cell(corpus: Corpus, cell: GridCell, config: RunConfig) -> dict:
         "morpheme_eval": {}, "morpheme_new": {},
     }
     template = config.template()
-    with TemporaryDirectory(prefix="morphsplit-cell-") as tmp:
-        for mi, spec in enumerate(sorted(config.models)):
-            sid = SegmenterId.parse(spec)
+    sids = [SegmenterId.parse(spec) for spec in sorted(config.models)]
+    features = _feature_table(corpus, template) if any(s.featurized for s in sids) else None
+    external = any(s.name == "external" for s in sids)
+    with TemporaryDirectory(prefix="morphsplit-cell-") if external else nullcontext() as tmp:
+        for mi, sid in enumerate(sids):
             key = sid.key()
             per_seed: dict[str, list[ScoreTriple]] = {t: [] for t in tables}
             # A model that ignores its seed is trained once; its triple is
@@ -379,7 +413,8 @@ def compute_cell(corpus: Corpus, cell: GridCell, config: RunConfig) -> dict:
                     template=template,
                     config=config.train_config(sid, seed),
                     unigram_smoothing=config.unigram_smoothing,
-                    workdir=Path(tmp) / f"m{mi}k{k}",
+                    workdir=None if tmp is None else Path(tmp) / f"m{mi}k{k}",
+                    table=features,
                 )
                 pred_eval = segment_corpus(model, eval_surfaces)
                 pred_new = segment_corpus(model, new_surfaces)
@@ -463,6 +498,7 @@ _POOL_JOB: tuple[list[tuple[str, Corpus]], RunConfig] | None = None
 def _start_pool_worker(corpora: list[tuple[str, Corpus]], config: RunConfig) -> None:
     global _POOL_JOB
     _POOL_JOB = (corpora, config)
+    _FEATURE_TABLES.set({})
 
 
 def _run_cell(
@@ -572,7 +608,8 @@ def _execute(
     A pool worker builds the splits of the units it is handed, so no unit's
     carve or residual splits are made anywhere else. Cells are scored on
     the corpora this run parsed; a pool hands them to each worker once,
-    when the worker starts.
+    when the worker starts. Each process builds a corpus's feature table at
+    most once, on its first cell with a feature model.
     """
     if config.parallelism > 1 and len(units) > 1:
         with ProcessPoolExecutor(
@@ -581,7 +618,11 @@ def _execute(
             initargs=(list(corpora), config),
         ) as pool:
             return [outcome for done in pool.map(_run_pooled, units) for outcome in done]
-    return _run_cells(config, corpora, {key for unit in units for key in unit})
+    token = _FEATURE_TABLES.set({})
+    try:
+        return _run_cells(config, corpora, {key for unit in units for key in unit})
+    finally:
+        _FEATURE_TABLES.reset(token)
 
 
 def _f(v: float) -> str:

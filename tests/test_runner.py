@@ -17,6 +17,7 @@ from morphsplit import runner as R
 from morphsplit import splitter as S
 from morphsplit.errors import ConfigError, DomainError, LedgerError
 from morphsplit.evaluation import CellResult, aggregate_rows
+from morphsplit.models import FeatureTable
 
 
 def write_synthetic(path, n=60, seed=3):
@@ -270,13 +271,14 @@ class TestTrainOnce:
         }
         assert len({seed for name, seed in calls if name == "external"}) == 3
 
-    def test_artifacts_match_pinned_digests(self, tmp_path):
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_artifacts_match_pinned_digests(self, tmp_path, parallelism):
         pinned = json.loads(
             (Path(__file__).parent / "data" / "four_models_seeds3_v1.json").read_text()
         )["files"]
         cfg = make_config(
             write_synthetic(tmp_path / "synA.tsv"), tmp_path / "run",
-            models=ALL_MODELS, seeds_per_model=3,
+            models=ALL_MODELS, seeds_per_model=3, parallelism=parallelism,
         )
         R.run_experiment(cfg)
         got = {
@@ -284,6 +286,55 @@ class TestTrainOnce:
             for name, data in csv_bytes(cfg.output_dir).items()
         }
         assert got == pinned
+
+
+@pytest.fixture()
+def tables_built(monkeypatch):
+    """The surfaces of every FeatureTable constructed, anywhere."""
+    built = []
+
+    def counted(self, surfaces, template, _init=FeatureTable.__init__):
+        _init(self, surfaces, template)
+        built.append(self.surfaces)
+
+    monkeypatch.setattr(FeatureTable, "__init__", counted)
+    return built
+
+
+class TestSharedFeatures:
+    """Each run featurizes a corpus once, and only for feature models."""
+
+    def test_inline_run_builds_one_table_per_language(self, tmp_path, tables_built):
+        paths = [
+            write_synthetic(tmp_path / "synA.tsv", seed=3),
+            write_synthetic(tmp_path / "synB.tsv", seed=4),
+        ]
+        cfg = make_config(paths[0], tmp_path / "run", corpus_paths=tuple(paths), models=ALL_MODELS)
+        ledger = R.run_experiment(cfg)
+        assert ledger.failed_keys() == [] and len(ledger.cells) == 8
+        corpora = [C.parse_corpus(p) for p in paths]
+        assert sorted(tables_built) == sorted(tuple(w.surface for w in c) for c in corpora)
+        tables_built.clear()
+        R.resume(cfg.output_dir)
+        assert tables_built == []
+
+    def test_cheap_models_build_no_table(self, corpus_file, tmp_path, tables_built):
+        R.run_experiment(make_config(corpus_file, tmp_path / "run"))
+        assert tables_built == []
+
+    def test_builtin_models_make_no_temporary_directory(
+        self, corpus_file, tmp_path, monkeypatch
+    ):
+        made = []
+
+        def counted(*args, _make=R.TemporaryDirectory, **kwargs):
+            made.append(args or kwargs)
+            return _make(*args, **kwargs)
+
+        monkeypatch.setattr(R, "TemporaryDirectory", counted)
+        ledger = R.run_experiment(make_config(corpus_file, tmp_path / "run", models=ALL_MODELS))
+        assert ledger.failed_keys() == []
+        assert made == []
 
 
 class TestSmokeRun:
