@@ -50,6 +50,7 @@ from .runner import (
     run_experiment,
 )
 from .splitter import (
+    STRATEGIES,
     adversarial_split,
     as_fraction,
     heuristic_split,
@@ -58,8 +59,6 @@ from .splitter import (
     save_manifest,
 )
 from .stats import fit_regression
-
-SPLIT_STRATEGIES = ("random", "adversarial", "heuristic")
 
 
 # What the RunConfig field types do not give: the flag where its spelling
@@ -315,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("split", help="compute one two-way split")
     sub.add_argument("--corpus", required=True)
-    sub.add_argument("--strategy", choices=SPLIT_STRATEGIES, required=True)
+    sub.add_argument("--strategy", choices=STRATEGIES, required=True)
     sub.add_argument("--ratio", default="9:1", help="side_a:side_b ratio")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--budget", type=int, default=None,

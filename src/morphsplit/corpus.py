@@ -137,13 +137,13 @@ class LabelSequence:
         return self.labels[1:-1]
 
 
-def encode_labels(word: SegmentedWord) -> LabelSequence:
-    """Encode a segmentation as labels, one per grapheme plus bookends.
+def interior_labels(word: SegmentedWord) -> list[Label]:
+    """Each grapheme's label, without bookends or validation.
 
     A singleton morpheme becomes S; a morpheme of k >= 2 graphemes becomes
-    B, M * (k - 2), E. The result always has ``grapheme_count + 2`` labels.
+    B, M * (k - 2), E.
     """
-    labels = [Label.START]
+    labels = []
     for m in word.morphemes:
         k = len(graphemes(m))
         if k == 1:
@@ -152,8 +152,16 @@ def encode_labels(word: SegmentedWord) -> LabelSequence:
             labels.append(Label.B)
             labels.extend([Label.M] * (k - 2))
             labels.append(Label.E)
-    labels.append(Label.END)
-    return LabelSequence(tuple(labels))
+    return labels
+
+
+def encode_labels(word: SegmentedWord) -> LabelSequence:
+    """Encode a segmentation as labels, one per grapheme plus bookends.
+
+    The interior labels are :func:`interior_labels`; the result always has
+    ``grapheme_count + 2`` labels.
+    """
+    return LabelSequence((Label.START, *interior_labels(word), Label.END))
 
 
 def decode_labels(surface: str, labels: Sequence[Label] | LabelSequence) -> SegmentedWord:

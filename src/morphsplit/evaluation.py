@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .corpus import SegmentedWord, graphemes
 from .errors import ContractError, DomainError, ValidationError
-from .splitter import as_fraction
+from .records import Record, as_fraction
 
 F1_VARIANTS = ("boundary", "morpheme")
 AVERAGES = ("micro", "macro")
@@ -47,6 +47,13 @@ class ScoreTriple:
     def from_pr(cls, precision: float, recall: float) -> "ScoreTriple":
         s = precision + recall
         return cls(precision, recall, 2 * precision * recall / s if s > 0 else 0.0)
+
+    def to_dict(self) -> list[float]:
+        return [self.precision, self.recall, self.f1]
+
+    @classmethod
+    def from_dict(cls, data: list[float]) -> "ScoreTriple":
+        return cls(*data)
 
 
 def boundary_positions(word: SegmentedWord) -> frozenset[int]:
@@ -214,7 +221,7 @@ def morpheme_overlap(
 
 
 @dataclass(frozen=True)
-class CellResult:
+class CellResult(Record):
     """Scores of every model on one grid cell's eval and new-test sets."""
 
     cell_id: str
@@ -254,55 +261,6 @@ class CellResult:
         if side not in ("eval", "new"):
             raise DomainError("side must be 'eval' or 'new'")
         return getattr(self, f"{variant}_{side}")
-
-    def to_dict(self) -> dict:
-        def table(d):
-            return {
-                m: [t.precision, t.recall, t.f1] for m, t in sorted(d.items())
-            }
-
-        return {
-            "cell_id": self.cell_id,
-            "language_tag": self.language_tag,
-            "fraction": str(self.fraction),
-            "new_test_strategy": self.new_test_strategy,
-            "residual_strategy": self.residual_strategy,
-            "seed_group": self.seed_group,
-            "boundary_eval": table(self.boundary_eval),
-            "boundary_new": table(self.boundary_new),
-            "morpheme_eval": table(self.morpheme_eval),
-            "morpheme_new": table(self.morpheme_new),
-            "ranking_eval": self.ranking_eval.to_dict(),
-            "ranking_new": self.ranking_new.to_dict(),
-            "overlap": self.overlap,
-            "train_size": self.train_size,
-            "eval_size": self.eval_size,
-            "new_test_size": self.new_test_size,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CellResult":
-        def table(d):
-            return {m: ScoreTriple(*v) for m, v in d.items()}
-
-        return cls(
-            cell_id=data["cell_id"],
-            language_tag=data["language_tag"],
-            fraction=Fraction(data["fraction"]),
-            new_test_strategy=data["new_test_strategy"],
-            residual_strategy=data["residual_strategy"],
-            seed_group=data["seed_group"],
-            boundary_eval=table(data["boundary_eval"]),
-            boundary_new=table(data["boundary_new"]),
-            morpheme_eval=table(data["morpheme_eval"]),
-            morpheme_new=table(data["morpheme_new"]),
-            ranking_eval=ModelRanking.from_dict(data["ranking_eval"]),
-            ranking_new=ModelRanking.from_dict(data["ranking_new"]),
-            overlap=float(data["overlap"]),
-            train_size=int(data["train_size"]),
-            eval_size=int(data["eval_size"]),
-            new_test_size=int(data["new_test_size"]),
-        )
 
 
 def ranking_consistency(results: Sequence[CellResult]) -> float:

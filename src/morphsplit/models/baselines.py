@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from ..corpus import Corpus, SegmentedWord, graphemes
+from ..corpus import Corpus, Label, SegmentedWord, graphemes, interior_labels
 from ..errors import DomainError, ValidationError
 from .features import (
     FeatureTable,
@@ -173,11 +173,6 @@ class BoundaryLogisticModel:
         """z = w . x for every gap of every surface, in order."""
         return self._design(surfaces) @ self.weights
 
-    def gap_score(self, surface: str, gap: int) -> float:
-        if not 1 <= gap <= len(graphemes(surface)) - 1:
-            raise DomainError(f"gap {gap} out of range for {surface!r}")
-        return float(self._gap_scores([surface])[gap - 1])
-
     def segment(self, surface: str) -> SegmentedWord:
         return self.segment_batch([surface])[0]
 
@@ -221,16 +216,13 @@ class BoundaryLogisticModel:
 
 
 def _targets(words) -> np.ndarray:
-    """0/1 boundary targets of every gap of ``words``, in order."""
-    targets: list[float] = []
-    for w in words:
-        bounds = set()
-        acc = 0
-        for m in w.morphemes[:-1]:
-            acc += len(graphemes(m))
-            bounds.add(acc)
-        targets.extend(1.0 if gap in bounds else 0.0 for gap in range(1, w.grapheme_count()))
-    return np.asarray(targets)
+    """0/1 boundary targets of every gap of ``words``, in order: gap g is a
+    boundary iff grapheme g opens a morpheme (its label is B or S)."""
+    return np.asarray([
+        1.0 if lab in (Label.B, Label.S) else 0.0
+        for w in words
+        for lab in interior_labels(w)[1:]
+    ])
 
 
 def logistic_objective(

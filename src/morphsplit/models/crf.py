@@ -23,7 +23,7 @@ from ..corpus import (
     Label,
     SegmentedWord,
     decode_labels,
-    encode_labels,
+    interior_labels,
 )
 from ..errors import DomainError, ValidationError
 # extract_features stays importable here: perfbench/tracing.py rebinds it
@@ -342,9 +342,9 @@ def viterbi_raw(model: CrfModel, surface: str) -> tuple[tuple[Label, ...], float
     return tuple(Label(p) for p in paths[0].tolist()), float(scores[0])
 
 
-def _gold(words) -> list[list[int]]:
-    """Each word's interior gold labels, as ints."""
-    return [[int(lab) for lab in encode_labels(w).interior()] for w in words]
+def _gold(words) -> list[list[Label]]:
+    """Each word's interior gold labels."""
+    return [interior_labels(w) for w in words]
 
 
 def train_crf(

@@ -17,10 +17,11 @@ import numpy as np
 
 from ..corpus import graphemes
 from ..errors import ContractError, ValidationError
+from ..records import Record
 
 
 @dataclass(frozen=True)
-class FeatureTemplate:
+class FeatureTemplate(Record):
     """Which n-grams around a position become features.
 
     ``window`` is a radius in graphemes; an n-gram fires only when it lies
@@ -37,21 +38,6 @@ class FeatureTemplate:
             raise ValidationError("max_ngram must be >= 1")
         if self.window < 0:
             raise ValidationError("window must be >= 0")
-
-    def to_dict(self) -> dict:
-        return {
-            "max_ngram": self.max_ngram,
-            "window": self.window,
-            "include_position_flags": self.include_position_flags,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FeatureTemplate":
-        return cls(
-            max_ngram=int(data["max_ngram"]),
-            window=int(data["window"]),
-            include_position_flags=bool(data["include_position_flags"]),
-        )
 
 
 def extract_features(

@@ -41,11 +41,11 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from contextvars import ContextVar
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from tempfile import TemporaryDirectory
-from typing import Collection, Iterable, Sequence, get_type_hints
+from typing import Collection, Iterable, Sequence
 
 from .corpus import Corpus, corpus_stats, parse_corpus
 from .errors import ConfigError, DomainError, LedgerError, SingularityError, ValidationError
@@ -63,6 +63,7 @@ from .evaluation import (
     score_variability,
 )
 from .models import (
+    BUILTIN_SEGMENTERS,
     FeatureTable,
     FeatureTemplate,
     SegmenterId,
@@ -70,17 +71,15 @@ from .models import (
     segment_corpus,
     train_segmenter,
 )
+from .records import Ratio, Record, decode_field
 from .splitter import (
     DEFAULT_ADVERSARIAL_BUDGET,
     GRID_STRATEGIES,
     ExperimentPlan,
     GridCell,
-    as_fraction,
     build_grid,
     derive_seed,
-    format_ratio,
     grid_units,
-    parse_ratio,
 )
 from .stats import RegressionRecord, fit_regression
 
@@ -90,13 +89,12 @@ OUTPUT_DIR_ENV = "MORPHSPLIT_OUTPUT_DIR"
 LEDGER_NAME = "ledger.json"
 LEDGER_VERSION = 1
 REPORT_KINDS = ("tables", "regression", "plots-data")
-DEFAULT_MODELS = ("boundary_logistic", "crf", "longest_match", "unigram_viterbi")
 
 _DEFAULT_FRACTIONS = ExperimentPlan().new_test_fractions
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Everything one experiment run depends on, plus execution knobs.
 
     ``output_dir`` and ``parallelism`` affect where and how fast results
@@ -109,10 +107,10 @@ class RunConfig:
     fractions: tuple[Fraction, ...] = _DEFAULT_FRACTIONS
     samples_per_fraction: int = 10
     residual_splits: int = 3
-    residual_ratio: Fraction = Fraction(9, 1)
+    residual_ratio: Ratio = Fraction(9, 1)
     new_test_generations: tuple[str, ...] = GRID_STRATEGIES
     residual_strategies: tuple[str, ...] = GRID_STRATEGIES
-    models: tuple[str, ...] = DEFAULT_MODELS
+    models: tuple[str, ...] = BUILTIN_SEGMENTERS
     seeds_per_model: int = 3
     f1_variant: str = "boundary"
     f1_average: str = "micro"
@@ -129,10 +127,9 @@ class RunConfig:
     unigram_smoothing: float = 0.1
 
     def __post_init__(self) -> None:
-        for name, kind in _FIELD_TYPES.items():
-            if kind in _ITEM_TYPES or kind is float:
-                object.__setattr__(self, name, _decode(kind, getattr(self, name)))
-        object.__setattr__(self, "residual_ratio", as_fraction(self.residual_ratio))
+        for f in fields(self):
+            value = decode_field(RunConfig, f.name, getattr(self, f.name))
+            object.__setattr__(self, f.name, value)
         if not self.corpus_paths:
             raise ConfigError("need at least one corpus path")
         if not self.output_dir:
@@ -203,17 +200,10 @@ class RunConfig:
             adversarial_budget=self.adversarial_budget,
         )
 
-    def to_dict(self) -> dict:
-        return {name: _encode(kind, getattr(self, name)) for name, kind in _FIELD_TYPES.items()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        return cls(**{name: _decode(kind, data[name]) for name, kind in _FIELD_TYPES.items()})
-
     @staticmethod
     def parse_field(name: str, text: str):
         """A field's value from its flag or config-file text; lists are comma separated."""
-        return _decode(_FIELD_TYPES[name], text)
+        return decode_field(RunConfig, name, text)
 
     def config_hash(self) -> str:
         payload = {
@@ -225,54 +215,16 @@ class RunConfig:
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-_FIELD_TYPES = get_type_hints(RunConfig)
-# the tuple field types, each with the parser of its items
-_ITEM_TYPES = {tuple[str, ...]: str, tuple[Fraction, ...]: as_fraction}
-
-
-def _encode(kind, value):
-    """A RunConfig field value as the ledger stores it."""
-    if kind is Fraction:
-        return format_ratio(value)
-    if kind in _ITEM_TYPES:
-        return [str(v) for v in value]
-    return value
-
-
-def _decode(kind, value):
-    """A RunConfig field value from its ledger form or from its text.
-
-    Tuple fields take a JSON list or comma-separated text; the one
-    Fraction field is the ``9:1`` residual ratio.
-    """
-    if kind is Fraction:
-        return parse_ratio(value)
-    if kind in _ITEM_TYPES:
-        if isinstance(value, str):
-            value = [part.strip() for part in value.split(",") if part.strip()]
-        return tuple(_ITEM_TYPES[kind](v) for v in value)
-    return kind(value)
-
-
 @dataclass
-class CellStatus:
+class CellStatus(Record):
     status: str
     seconds: float = 0.0
     path: str = ""
     error: str = ""
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "CellStatus":
-        return cls(
-            status=data["status"],
-            seconds=float(data.get("seconds", 0.0)),
-            path=data.get("path", ""),
-            error=data.get("error", ""),
-        )
-
 
 @dataclass
-class RunLedger:
+class RunLedger(Record):
     """Run manifest: the config, its hash, per-cell completion state, and
     the sha256 of each corpus file's bytes when the run last read it."""
 
@@ -292,14 +244,7 @@ class RunLedger:
         return Path(self.config.output_dir) / LEDGER_NAME
 
     def save(self) -> None:
-        data = {
-            "version": LEDGER_VERSION,
-            "config": self.config.to_dict(),
-            "config_hash": self.config_hash,
-            "cells": {k: asdict(s) for k, s in sorted(self.cells.items())},
-            "notes": self.notes,
-            "corpus_sha256": self.corpus_sha256,
-        }
+        data = {"version": LEDGER_VERSION, **self.to_dict()}
         path = self.path()
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(
@@ -313,23 +258,16 @@ class RunLedger:
             ledger_path = ledger_path / LEDGER_NAME
         if not ledger_path.exists():
             raise LedgerError(f"no ledger at {ledger_path}")
-        data = json.loads(ledger_path.read_text(encoding="utf-8"))
-        config = RunConfig.from_dict(data["config"])
-        stored = data["config_hash"]
-        actual = config.config_hash()
+        ledger = cls.from_dict(json.loads(ledger_path.read_text(encoding="utf-8")))
+        stored = ledger.config_hash
+        actual = ledger.config.config_hash()
         if stored != actual:
             raise LedgerError(
                 "config hash mismatch: the ledger's embedded config no longer "
                 f"matches its recorded hash ({actual[:12]} vs {stored[:12]}); "
                 "refusing to resume an edited run"
             )
-        return cls(
-            config=config,
-            config_hash=stored,
-            cells={k: CellStatus.from_dict(v) for k, v in data.get("cells", {}).items()},
-            notes=list(data.get("notes", [])),
-            corpus_sha256=dict(data.get("corpus_sha256", {})),
-        )
+        return ledger
 
     def check_corpora(self) -> None:
         """Refuse a run whose corpus files changed since it last read them.
@@ -584,12 +522,8 @@ def _grid_units(
     ]
 
 
-def _cell_artifact_path(out_dir: Path, key: str) -> Path:
-    return out_dir / "cells" / f"{key}.json"
-
-
 def _persist_payload(out_dir: Path, payload: dict) -> Path:
-    path = _cell_artifact_path(out_dir, payload["key"])
+    path = out_dir / "cells" / f"{payload['key']}.json"
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(
         json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -709,16 +643,8 @@ def _records_csv(out: Path, language: str, records: list[dict], config: RunConfi
 
 def regression_records(records: Iterable[dict]) -> list[RegressionRecord]:
     """Validated regression inputs from record rows, persisted or read as
-    CSV text; each field is converted to its declared type.
-
-    ``cell_id`` and ``score_on`` are provenance columns; they never enter
-    the design matrix.
-    """
-    kinds = get_type_hints(RegressionRecord)
-    return [
-        RegressionRecord(**{name: kind(rec[name]) for name, kind in kinds.items()})
-        for rec in records
-    ]
+    CSV text."""
+    return [RegressionRecord.from_dict(rec) for rec in records]
 
 
 def _regression_csvs(
@@ -822,28 +748,42 @@ def _plots_data_csv(out: Path, results: list[CellResult], config: RunConfig) -> 
     )
 
 
-def _load_payloads(
-    ledger: RunLedger, fresh: dict[str, dict] | None = None
-) -> dict[str, dict]:
-    """Payloads of the ledger's done cells: ``fresh`` ones as given, the
-    rest read from their artifacts (skipping missing files)."""
-    payloads = dict(fresh or {})
+# A done cell as the reports read it: its result and its record rows.
+_Scored = tuple[CellResult, list[dict]]
+
+
+def _scored(payload: dict) -> _Scored:
+    return CellResult.from_dict(payload["result"]), payload["records"]
+
+
+def _read_done(ledger: RunLedger) -> dict[str, _Scored]:
+    """The ledger's done cells, each decoded from its artifact, by key.
+
+    A cell whose artifact is missing is left out, and so is one whose
+    artifact is damaged (not JSON, or JSON that does not decode to a cell
+    payload), with a warning that names the file.
+    """
+    done = {}
     for key, status in ledger.cells.items():
-        if key in payloads or status.status != "done":
-            continue
         path = Path(status.path)
-        if path.exists():
-            payloads[key] = json.loads(path.read_text(encoding="utf-8"))
-    return payloads
+        if status.status != "done" or not path.is_file():
+            continue
+        try:
+            done[key] = _scored(json.loads(path.read_text(encoding="utf-8")))
+        except (ValueError, TypeError, KeyError, AttributeError, ValidationError) as exc:
+            logger.warning(
+                "ignoring damaged cell artifact %s (%s: %s)", path, type(exc).__name__, exc
+            )
+    return done
 
 
 _OUTPUT_KINDS = ("rows",) + REPORT_KINDS
 
 
 def _write_outputs(
-    config: RunConfig, payloads: dict[str, dict], kinds: Sequence[str] = _OUTPUT_KINDS
+    config: RunConfig, done: dict[str, _Scored], kinds: Sequence[str] = _OUTPUT_KINDS
 ) -> tuple[list[Path], list[str]]:
-    """Emit the CSVs of ``kinds`` from cell payloads; returns (paths, notes).
+    """Emit the CSVs of ``kinds`` from the done cells; returns (paths, notes).
 
     ``rows`` is the per-language report rows and records; the other kinds
     are those of :func:`report`.
@@ -852,11 +792,11 @@ def _write_outputs(
     written: list[Path] = []
     notes: list[str] = []
     by_lang: dict[str, tuple[list[CellResult], list[dict]]] = {}
-    for key in sorted(payloads):
-        payload = payloads[key]
-        results, records = by_lang.setdefault(payload["language_tag"], ([], []))
-        results.append(CellResult.from_dict(payload["result"]))
-        records.extend(payload["records"])
+    for key in sorted(done):
+        result, rows = done[key]
+        results, records = by_lang.setdefault(result.language_tag, ([], []))
+        results.append(result)
+        records.extend(rows)
     for language, (results, records) in sorted(by_lang.items()):
         if "rows" in kinds:
             written.append(_report_rows_csv(out, language, results, config))
@@ -883,11 +823,12 @@ def _complete(ledger: RunLedger) -> RunLedger:
     """Compute every cell the ledger lacks, then rewrite the reports.
 
     A cell is computed when the ledger has no done entry for it or its
-    artifact is missing. Cell keys follow from the grid coordinates, so
-    splits are built only for the work units (carves) that have such a
-    cell, and only the residual splits of those cells; a run with nothing
-    pending makes no split at all. Payloads computed here are reported
-    from memory; only the cells left untouched are read back from disk.
+    artifact is missing or damaged. Cell keys follow from the grid
+    coordinates, so splits are built only for the work units (carves) that
+    have such a cell, and only the residual splits of those cells; a run
+    with nothing pending makes no split at all. Each artifact left
+    untouched is read once, and cells computed here are reported from
+    memory.
     Refuses with :class:`LedgerError` when a corpus file's content no
     longer matches the digest the ledger recorded for it.
     """
@@ -898,31 +839,23 @@ def _complete(ledger: RunLedger) -> RunLedger:
     corpora = _load_corpora(config)
     ledger.corpus_sha256 = {path: _sha256(path) for path in config.corpus_paths}
 
-    def pending(key: str) -> bool:
-        status = ledger.cells.get(key)
-        return (
-            status is None
-            or status.status != "done"
-            or not _cell_artifact_path(out, key).exists()
-        )
-
+    done = _read_done(ledger)
     todo = [
         pending_keys
         for unit in _grid_units(config, corpora)
-        if (pending_keys := [key for key in unit if pending(key)])
+        if (pending_keys := [key for key in unit if key not in done])
     ]
-    fresh: dict[str, dict] = {}
     for key, status, payload, seconds in sorted(
         _execute(config, corpora, todo), key=lambda outcome: outcome[0]
     ):
         if status == "done":
             path = _persist_payload(out, payload)
-            fresh[key] = payload
+            done[key] = _scored(payload)
             ledger.cells[key] = CellStatus("done", seconds, str(path))
         else:
             logger.error("cell %s failed:\n%s", key, payload)
             ledger.cells[key] = CellStatus("failed", seconds, "", str(payload))
-    _, ledger.notes = _write_outputs(config, _load_payloads(ledger, fresh))
+    _, ledger.notes = _write_outputs(config, done)
     ledger.save()
     return ledger
 
@@ -951,7 +884,7 @@ def report(ledger_path: str | Path, kind: str) -> list[Path]:
         raise DomainError(f"kind must be one of {REPORT_KINDS}, got {kind!r}")
     ledger = RunLedger.load(ledger_path)
     ledger.check_corpora()
-    payloads = _load_payloads(ledger)
-    if not payloads:
+    done = _read_done(ledger)
+    if not done:
         raise DomainError("ledger has no completed cells to report on")
-    return _write_outputs(ledger.config, payloads, (kind,))[0]
+    return _write_outputs(ledger.config, done, (kind,))[0]

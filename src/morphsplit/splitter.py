@@ -34,6 +34,7 @@ import numpy as np
 
 from .corpus import Corpus, SegmentedWord
 from .errors import CapacityError, DomainError, SplitError, ValidationError
+from .records import Ratio, Record, as_fraction, format_ratio, parse_ratio  # noqa: F401
 
 STRATEGIES = ("random", "adversarial", "heuristic")
 STAGES = ("new_test_carving", "residual_split")
@@ -53,37 +54,6 @@ def derive_seed(master_seed: int, *parts) -> int:
     h = hashlib.blake2b(digest_size=8)
     h.update(repr((int(master_seed),) + tuple(str(p) for p in parts)).encode("utf-8"))
     return int.from_bytes(h.digest(), "big")
-
-
-def as_fraction(value) -> Fraction:
-    """Convert ints, floats, strings, or Fractions to an exact Fraction.
-
-    Floats go through their decimal string form, so ``0.1`` means one tenth
-    rather than its binary expansion.
-    """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, float):
-        return Fraction(str(value))
-    return Fraction(value)
-
-
-def parse_ratio(text: str) -> Fraction:
-    """Parse ``"9:1"`` into the Fraction 9/1."""
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ValidationError(f"ratio must look like '9:1', got {text!r}")
-    try:
-        num, den = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ValidationError(f"ratio must use integers, got {text!r}") from None
-    if num < 1 or den < 1:
-        raise ValidationError(f"ratio sides must be positive, got {text!r}")
-    return Fraction(num, den)
-
-
-def format_ratio(ratio: Fraction) -> str:
-    return f"{ratio.numerator}:{ratio.denominator}"
 
 
 def share_b(ratio: Fraction) -> Fraction:
@@ -161,7 +131,7 @@ def split_distance(
 
 
 @dataclass(frozen=True)
-class SplitManifest:
+class SplitManifest(Record):
     """A reproducible record of one two-way partition.
 
     ``indices_a`` and ``indices_b`` are sorted positions into the corpus the
@@ -175,7 +145,7 @@ class SplitManifest:
     seed: int
     indices_a: tuple[int, ...]
     indices_b: tuple[int, ...]
-    target_ratio: Fraction
+    target_ratio: Ratio
     achieved_distance: float
     budget_used: int = 0
 
@@ -207,31 +177,6 @@ class SplitManifest:
                     f"side b has {len(b)} items, expected about {expect} for "
                     f"ratio {format_ratio(self.target_ratio)} on {n}"
                 )
-
-    def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "stage": self.stage,
-            "seed": self.seed,
-            "indices_a": list(self.indices_a),
-            "indices_b": list(self.indices_b),
-            "target_ratio": format_ratio(self.target_ratio),
-            "achieved_distance": float(self.achieved_distance),
-            "budget_used": int(self.budget_used),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SplitManifest":
-        return cls(
-            strategy=data["strategy"],
-            stage=data["stage"],
-            seed=int(data["seed"]),
-            indices_a=tuple(data["indices_a"]),
-            indices_b=tuple(data["indices_b"]),
-            target_ratio=parse_ratio(data["target_ratio"]),
-            achieved_distance=float(data["achieved_distance"]),
-            budget_used=int(data["budget_used"]),
-        )
 
 
 def save_manifest(manifest: SplitManifest, path: str | Path) -> None:
@@ -650,12 +595,9 @@ class ExperimentPlan:
                 f"got {self.new_test_generation!r}"
             )
 
-    def cells_per_strategy(self) -> int:
-        return len(self.new_test_fractions) * self.samples_per_fraction * self.residual_splits
-
 
 @dataclass(frozen=True)
-class GridCell:
+class GridCell(Record):
     """One experiment cell: disjoint train/eval/new-test index sets.
 
     All indices refer to the original corpus. The two manifests are the
@@ -688,37 +630,6 @@ class GridCell:
         n = len(tr) + len(ev) + len(nt)
         if tr | ev | nt != set(range(n)):
             raise ValidationError(f"cell {self.cell_id}: member sets do not cover the corpus")
-
-    def to_dict(self) -> dict:
-        return {
-            "cell_id": self.cell_id,
-            "fraction": str(self.fraction),
-            "sample_index": self.sample_index,
-            "split_index": self.split_index,
-            "new_test_strategy": self.new_test_strategy,
-            "residual_strategy": self.residual_strategy,
-            "train_indices": list(self.train_indices),
-            "eval_indices": list(self.eval_indices),
-            "new_test_indices": list(self.new_test_indices),
-            "carve_manifest": self.carve_manifest.to_dict(),
-            "residual_manifest": self.residual_manifest.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GridCell":
-        return cls(
-            cell_id=data["cell_id"],
-            fraction=Fraction(data["fraction"]),
-            sample_index=int(data["sample_index"]),
-            split_index=int(data["split_index"]),
-            new_test_strategy=data["new_test_strategy"],
-            residual_strategy=data["residual_strategy"],
-            train_indices=tuple(data["train_indices"]),
-            eval_indices=tuple(data["eval_indices"]),
-            new_test_indices=tuple(data["new_test_indices"]),
-            carve_manifest=SplitManifest.from_dict(data["carve_manifest"]),
-            residual_manifest=SplitManifest.from_dict(data["residual_manifest"]),
-        )
 
 
 def _split_by(strategy: str, corpus, ratio, seed, budget, stage) -> SplitManifest:

@@ -32,6 +32,7 @@ from scipy.linalg import qr, solve_triangular
 from scipy.special import betainc
 
 from .errors import DomainError, SingularityError, ValidationError
+from .records import Record
 
 logger = logging.getLogger(__name__)
 
@@ -45,8 +46,12 @@ _CONTROLS = (
 
 
 @dataclass(frozen=True)
-class RegressionRecord:
-    """One regression observation: a response F1 plus its covariates."""
+class RegressionRecord(Record):
+    """One regression observation: a response F1 plus its covariates.
+
+    ``from_dict`` reads a record row, persisted or read as CSV text, and
+    ignores its provenance columns (``cell_id``, ``score_on``).
+    """
 
     f1: float
     strategy: int

@@ -39,6 +39,7 @@ from morphsplit.splitter import (
     ExperimentPlan,
     adversarial_split,
     build_grid,
+    grid_units,
     random_split,
 )
 from morphsplit.stats import (
@@ -296,7 +297,8 @@ def test_criterion_4_grid_cardinality():
     """Default plan on 400 words: 150 cells per strategy, exact partitions."""
     corpus = generate_synthetic_corpus(SyntheticSpec(num_words=400, seed=0))
     plan = ExperimentPlan()
-    assert plan.cells_per_strategy() == 5 * 10 * 3 == 150
+    units = grid_units(plan, ("random",))
+    assert sum(len(cells) for _, _, cells in units) == 5 * 10 * 3 == 150
     full = list(range(400))
     for strategy in ("random", "adversarial"):
         grid = build_grid(corpus, plan, strategy)

@@ -191,10 +191,11 @@ class TestBoundaryLogistic:
     def test_dict_round_trip_preserves_scores(self):
         model = train_boundary_logistic(toy_corpus(), template=SMALL)
         clone = BoundaryLogisticModel.from_dict(model.to_dict())
-        for gap in range(1, 6):
-            assert clone.gap_score("walked", gap) == pytest.approx(
-                model.gap_score("walked", gap), rel=1e-12
-            )
+        batch = toy_corpus()
+        value, grad = logistic_objective(model, batch)
+        clone_value, clone_grad = logistic_objective(clone, batch)
+        assert clone_value == pytest.approx(value, rel=1e-12)
+        np.testing.assert_allclose(clone_grad, grad, rtol=1e-12)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(DomainError):

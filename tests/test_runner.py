@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import logging
 import re
 import shutil
 from collections import Counter
@@ -548,7 +549,8 @@ class TestResume:
         assert {p: p.stat().st_mtime_ns for p in cells} == stamps
         assert csv_bytes(out) == before
 
-    def test_deleted_cell_is_recomputed_alone(self, corpus_file, tmp_path):
+    @pytest.mark.parametrize("damage", ["deleted", "truncated"])
+    def test_damaged_cell_is_recomputed_alone(self, corpus_file, tmp_path, damage):
         cfg = make_config(corpus_file, tmp_path / "run")
         R.run_experiment(cfg)
         out = Path(cfg.output_dir)
@@ -556,9 +558,12 @@ class TestResume:
         cells = sorted((out / "cells").rglob("*.json"))
         victim, survivors = cells[0], cells[1:]
         stamps = {p: p.stat().st_mtime_ns for p in survivors}
-        victim.unlink()
+        if damage == "deleted":
+            victim.unlink()
+        else:
+            victim.write_bytes(victim.read_bytes()[:100])
         ledger = R.resume(out)
-        assert victim.exists()
+        assert json.loads(victim.read_text())["key"]
         assert ledger.failed_keys() == []
         assert {p: p.stat().st_mtime_ns for p in survivors} == stamps
         assert csv_bytes(out) == before
@@ -744,6 +749,24 @@ class TestReport:
         ledger.save()
         with pytest.raises(DomainError, match="no completed cells"):
             R.report(Path(cfg.output_dir), "tables")
+
+    def test_damaged_artifact_skipped_like_a_deleted_one(self, corpus_file, tmp_path, caplog):
+        cfg = make_config(corpus_file, tmp_path / "run")
+        R.run_experiment(cfg)
+        out = Path(cfg.output_dir)
+        victim = sorted((out / "cells").rglob("*.json"))[0]
+        victim.write_text("{", encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="morphsplit.runner"):
+            R.report(out, "tables")
+        assert str(victim) in caplog.text
+
+        def tables():
+            return {k: v for k, v in csv_bytes(out).items() if k.endswith(".csv")}
+
+        damaged = tables()
+        victim.unlink()
+        R.report(out, "tables")
+        assert tables() == damaged
 
     def test_report_rewrites_identical_tables(self, smoke_run):
         cfg, _ = smoke_run

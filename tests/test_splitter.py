@@ -467,7 +467,7 @@ class TestManifests:
 class TestGrid:
     def test_default_plan_cardinality(self):
         plan = S.ExperimentPlan()
-        assert plan.cells_per_strategy() == 150
+        assert sum(len(cells) for _, _, cells in S.grid_units(plan, ("random",))) == 150
 
     def test_small_grid_shape_and_determinism(self):
         corpus = toy_corpus(n=60, seed=8, stems=15, suffixes=6)
