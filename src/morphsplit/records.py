@@ -14,14 +14,17 @@ fields and their type hints, with one format decision per field type:
 Decoding ignores keys the record does not declare. A missing key takes the
 field's default; a missing key without one raises :class:`ValidationError`
 naming the record and the key. Each class's field converters are built
-once, on its first use.
+once, on its first use. :func:`write_json` writes the records' files.
 """
 
 from __future__ import annotations
 
+import json
+import os
 from dataclasses import MISSING, fields
 from fractions import Fraction
 from functools import cache
+from pathlib import Path
 from typing import Annotated, Any, Callable, get_args, get_origin, get_type_hints
 
 from .errors import ValidationError
@@ -156,3 +159,17 @@ class Record:
     @classmethod
     def from_dict(cls, data: dict):
         return cls(**_codec(cls).decode(data))
+
+
+def write_json(path: str | Path, data) -> None:
+    """Write ``data`` as key-sorted, indented JSON, making its directory.
+
+    The text goes to ``<path>.tmp``, which is renamed over ``path``: a
+    reader sees the old file or the new one, and a write cut short leaves
+    only the temporary file, which the next write of ``path`` replaces.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.tmp")
+    tmp.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    os.replace(tmp, path)

@@ -3,16 +3,17 @@
 A run expands every (language, generation mode, residual strategy)
 combination into grid cells, trains each configured model per cell
 (``seeds_per_model`` times if it reads its seed, else once with its scores
-counted that many times), scores eval and new-test sets, persists
-one JSON artifact per cell, and emits per-language and pooled CSVs plus a
-resumable ledger. There is one run path: ``resume`` completes the cells a
-saved ledger lacks, and ``run_experiment`` is the same step from an empty
-ledger. ``report`` rewrites one report family through the same CSV
-writers. Cell computation is deterministic for a fixed master seed, so
-parallel schedules and reruns produce byte-identical CSVs; only the
-ledger's timing fields vary.
+counted that many times), scores eval and new-test sets, writes each
+cell's JSON artifact as soon as the cell finishes, and emits per-language
+and pooled CSVs plus a resumable ledger. There is one run path: ``resume``
+completes the grid cells that have no readable artifact, and
+``run_experiment`` is the same step from an empty ledger. ``report``
+rewrites one report family through the same CSV writers. Cell computation
+is deterministic for a fixed master seed, so parallel schedules and reruns
+produce byte-identical CSVs; only the ledger's timing fields vary.
 
-Output layout under the run directory:
+The run directory is wherever ``ledger.json`` is, so a run can be moved,
+and an interrupted run keeps every cell it finished. Layout:
 
     ledger.json
     cells/{language}/{cell_id}.json
@@ -39,13 +40,14 @@ import time
 import traceback
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from tempfile import TemporaryDirectory
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .corpus import Corpus, corpus_stats, parse_corpus
 from .errors import ConfigError, DomainError, LedgerError, SingularityError, ValidationError
@@ -71,7 +73,7 @@ from .models import (
     segment_corpus,
     train_segmenter,
 )
-from .records import Ratio, Record, decode_field
+from .records import Ratio, Record, decode_field, write_json
 from .splitter import (
     DEFAULT_ADVERSARIAL_BUDGET,
     GRID_STRATEGIES,
@@ -219,20 +221,24 @@ class RunConfig(Record):
 class CellStatus(Record):
     status: str
     seconds: float = 0.0
-    path: str = ""
     error: str = ""
 
 
 @dataclass
 class RunLedger(Record):
     """Run manifest: the config, its hash, per-cell completion state, and
-    the sha256 of each corpus file's bytes when the run last read it."""
+    the sha256 of each corpus file's bytes when the run last read it.
+    ``root``, the run directory, is not stored: it is ``config.output_dir``
+    for a new run and the ledger file's directory for a loaded one."""
 
     config: RunConfig
     config_hash: str
     cells: dict[str, CellStatus] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
     corpus_sha256: dict[str, str] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.root = Path(self.config.output_dir)
 
     def done_keys(self) -> list[str]:
         return sorted(k for k, s in self.cells.items() if s.status == "done")
@@ -241,15 +247,14 @@ class RunLedger(Record):
         return sorted(k for k, s in self.cells.items() if s.status != "done")
 
     def path(self) -> Path:
-        return Path(self.config.output_dir) / LEDGER_NAME
+        return self.root / LEDGER_NAME
+
+    def artifact(self, key: str) -> Path:
+        """Where the cell with this ``language/cell_id`` key is stored."""
+        return self.root / "cells" / f"{key}.json"
 
     def save(self) -> None:
-        data = {"version": LEDGER_VERSION, **self.to_dict()}
-        path = self.path()
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(data, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        write_json(self.path(), {"version": LEDGER_VERSION, **self.to_dict()})
 
     @classmethod
     def load(cls, ledger_path: str | Path) -> "RunLedger":
@@ -258,7 +263,11 @@ class RunLedger(Record):
             ledger_path = ledger_path / LEDGER_NAME
         if not ledger_path.exists():
             raise LedgerError(f"no ledger at {ledger_path}")
-        ledger = cls.from_dict(json.loads(ledger_path.read_text(encoding="utf-8")))
+        try:
+            ledger = cls.from_dict(json.loads(ledger_path.read_text(encoding="utf-8")))
+        except _DECODE_ERRORS as exc:
+            raise LedgerError(f"damaged ledger {ledger_path}: {exc}") from None
+        ledger.root = ledger_path.parent
         stored = ledger.config_hash
         actual = ledger.config.config_hash()
         if stored != actual:
@@ -286,6 +295,10 @@ class RunLedger(Record):
                     f"{actual[:12]} vs {recorded[:12]}); its cells were scored "
                     "on the old content, so start a new run"
                 )
+
+
+# What decoding a damaged JSON file can raise, from json.loads or a codec.
+_DECODE_ERRORS = (ValueError, TypeError, KeyError, AttributeError, ValidationError)
 
 
 def _sha256(path: str | Path) -> str:
@@ -454,20 +467,18 @@ def _run_cell(
 
 def _run_cells(
     config: RunConfig, corpora: Sequence[tuple[str, Corpus]], keys: Collection[str]
-) -> list[tuple[str, str, dict | str, float]]:
+) -> Iterator[tuple[str, str, dict | str, float]]:
     """Build the cells with these keys, each carve they need once, and
-    compute them."""
+    compute them one by one."""
     by_language = {corpus.language_tag: corpus for _, corpus in corpora}
-    return [
-        _run_cell(by_language[language], cell, config)
-        for _, language, cell in enumerate_cells(config, corpora, only=keys)
-    ]
+    for _, language, cell in enumerate_cells(config, corpora, only=keys):
+        yield _run_cell(by_language[language], cell, config)
 
 
 def _run_pooled(keys: list[str]) -> list[tuple[str, str, dict | str, float]]:
     """Process-pool entry point for the pending cells of one work unit."""
     corpora, config = _POOL_JOB
-    return _run_cells(config, corpora, keys)
+    return list(_run_cells(config, corpora, keys))
 
 
 def _load_corpora(config: RunConfig) -> list[tuple[str, Corpus]]:
@@ -522,22 +533,14 @@ def _grid_units(
     ]
 
 
-def _persist_payload(out_dir: Path, payload: dict) -> Path:
-    path = out_dir / "cells" / f"{payload['key']}.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    return path
-
-
 def _execute(
     config: RunConfig,
     corpora: Sequence[tuple[str, Corpus]],
     units: Sequence[list[str]],
-) -> list[tuple[str, str, dict | str, float]]:
+) -> Iterator[tuple[str, str, dict | str, float]]:
     """Build and run the given cells, grouped by work unit, inline or in a
-    process pool; (key, status, payload, s) each.
+    process pool; yields (key, status, payload, s) as each cell (inline) or
+    unit (pool) finishes.
 
     A pool worker builds the splits of the units it is handed, so no unit's
     carve or residual splits are made anywhere else. Cells are scored on
@@ -551,10 +554,11 @@ def _execute(
             initializer=_start_pool_worker,
             initargs=(list(corpora), config),
         ) as pool:
-            return [outcome for done in pool.map(_run_pooled, units) for outcome in done]
+            yield from (outcome for done in pool.map(_run_pooled, units) for outcome in done)
+        return
     token = _FEATURE_TABLES.set({})
     try:
-        return _run_cells(config, corpora, {key for unit in units for key in unit})
+        yield from _run_cells(config, corpora, {key for unit in units for key in unit})
     finally:
         _FEATURE_TABLES.reset(token)
 
@@ -756,21 +760,21 @@ def _scored(payload: dict) -> _Scored:
     return CellResult.from_dict(payload["result"]), payload["records"]
 
 
-def _read_done(ledger: RunLedger) -> dict[str, _Scored]:
-    """The ledger's done cells, each decoded from its artifact, by key.
+def _read_done(ledger: RunLedger, keys: Iterable[str]) -> dict[str, _Scored]:
+    """The cells of ``keys`` that have an artifact, each decoded, by key.
 
     A cell whose artifact is missing is left out, and so is one whose
     artifact is damaged (not JSON, or JSON that does not decode to a cell
     payload), with a warning that names the file.
     """
     done = {}
-    for key, status in ledger.cells.items():
-        path = Path(status.path)
-        if status.status != "done" or not path.is_file():
+    for key in keys:
+        path = ledger.artifact(key)
+        if not path.is_file():
             continue
         try:
             done[key] = _scored(json.loads(path.read_text(encoding="utf-8")))
-        except (ValueError, TypeError, KeyError, AttributeError, ValidationError) as exc:
+        except _DECODE_ERRORS as exc:
             logger.warning(
                 "ignoring damaged cell artifact %s (%s: %s)", path, type(exc).__name__, exc
             )
@@ -781,14 +785,14 @@ _OUTPUT_KINDS = ("rows",) + REPORT_KINDS
 
 
 def _write_outputs(
-    config: RunConfig, done: dict[str, _Scored], kinds: Sequence[str] = _OUTPUT_KINDS
+    ledger: RunLedger, done: dict[str, _Scored], kinds: Sequence[str] = _OUTPUT_KINDS
 ) -> tuple[list[Path], list[str]]:
     """Emit the CSVs of ``kinds`` from the done cells; returns (paths, notes).
 
     ``rows`` is the per-language report rows and records; the other kinds
     are those of :func:`report`.
     """
-    out = Path(config.output_dir)
+    config, out = ledger.config, ledger.root
     written: list[Path] = []
     notes: list[str] = []
     by_lang: dict[str, tuple[list[CellResult], list[dict]]] = {}
@@ -819,43 +823,49 @@ def _write_outputs(
     return written, notes
 
 
-def _complete(ledger: RunLedger) -> RunLedger:
-    """Compute every cell the ledger lacks, then rewrite the reports.
+def _complete(ledger: RunLedger, resuming: bool) -> RunLedger:
+    """Compute every grid cell that has no artifact, then rewrite the reports.
 
-    A cell is computed when the ledger has no done entry for it or its
-    artifact is missing or damaged. Cell keys follow from the grid
-    coordinates, so splits are built only for the work units (carves) that
-    have such a cell, and only the residual splits of those cells; a run
-    with nothing pending makes no split at all. Each artifact left
-    untouched is read once, and cells computed here are reported from
-    memory.
-    Refuses with :class:`LedgerError` when a corpus file's content no
-    longer matches the digest the ledger recorded for it.
+    When resuming, a cell is done when its artifact decodes, whatever the
+    ledger says: an artifact follows from the config (its hash is checked
+    on load), the corpus (its digest is checked here) and the cell key. A
+    new run trusts no file in its directory, which another config may have
+    written. Cell keys follow from the grid coordinates, so splits are built
+    only for the work units (carves) that have a pending cell, and only the
+    residual splits of those cells; a run with nothing pending makes no
+    split at all. Each artifact left untouched is read once; each computed
+    one is written as it arrives, between a ledger save listing the pending
+    cells and one after the last. A broken process pool fails the cells
+    still pending. Refuses with :class:`LedgerError` when a corpus file's
+    content no longer matches the digest the ledger recorded for it.
     """
     config = ledger.config
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     ledger.check_corpora()
     corpora = _load_corpora(config)
     ledger.corpus_sha256 = {path: _sha256(path) for path in config.corpus_paths}
 
-    done = _read_done(ledger)
-    todo = [
-        pending_keys
-        for unit in _grid_units(config, corpora)
-        if (pending_keys := [key for key in unit if key not in done])
-    ]
-    for key, status, payload, seconds in sorted(
-        _execute(config, corpora, todo), key=lambda outcome: outcome[0]
-    ):
-        if status == "done":
-            path = _persist_payload(out, payload)
-            done[key] = _scored(payload)
-            ledger.cells[key] = CellStatus("done", seconds, str(path))
-        else:
-            logger.error("cell %s failed:\n%s", key, payload)
-            ledger.cells[key] = CellStatus("failed", seconds, "", str(payload))
-    _, ledger.notes = _write_outputs(config, done)
+    units = _grid_units(config, corpora)
+    done = _read_done(ledger, (key for unit in units for key in unit) if resuming else ())
+    for key in done.keys() - set(ledger.done_keys()):
+        ledger.cells[key] = CellStatus("done")
+    todo = [pending for unit in units if (pending := [key for key in unit if key not in done])]
+    if todo:
+        ledger.cells.update((key, CellStatus("pending")) for unit in todo for key in unit)
+        ledger.save()
+        try:
+            for key, status, payload, seconds in _execute(config, corpora, todo):
+                if status == "done":
+                    write_json(ledger.artifact(key), payload)
+                    done[key] = _scored(payload)
+                    ledger.cells[key] = CellStatus("done", seconds)
+                else:
+                    logger.error("cell %s failed:\n%s", key, payload)
+                    ledger.cells[key] = CellStatus("failed", seconds, str(payload))
+        except BrokenProcessPool as exc:
+            logger.error("the worker pool broke; its pending cells failed: %s", exc)
+            for key in [k for k, s in ledger.cells.items() if s.status == "pending"]:
+                ledger.cells[key] = CellStatus("failed", error=f"BrokenProcessPool: {exc}")
+    _, ledger.notes = _write_outputs(ledger, done)
     ledger.save()
     return ledger
 
@@ -866,7 +876,7 @@ def run_experiment(config: RunConfig) -> RunLedger:
     Cell failures are recorded in the ledger and skipped; the caller
     decides process exit status from ``ledger.failed_keys()``.
     """
-    return _complete(RunLedger(config=config, config_hash=config.config_hash()))
+    return _complete(RunLedger(config=config, config_hash=config.config_hash()), resuming=False)
 
 
 def resume(ledger_path: str | Path) -> RunLedger:
@@ -875,7 +885,7 @@ def resume(ledger_path: str | Path) -> RunLedger:
     Refuses (with :class:`LedgerError`) when the ledger's embedded config
     no longer matches its recorded hash.
     """
-    return _complete(RunLedger.load(ledger_path))
+    return _complete(RunLedger.load(ledger_path), resuming=True)
 
 
 def report(ledger_path: str | Path, kind: str) -> list[Path]:
@@ -884,7 +894,7 @@ def report(ledger_path: str | Path, kind: str) -> list[Path]:
         raise DomainError(f"kind must be one of {REPORT_KINDS}, got {kind!r}")
     ledger = RunLedger.load(ledger_path)
     ledger.check_corpora()
-    done = _read_done(ledger)
+    done = _read_done(ledger, ledger.done_keys())
     if not done:
         raise DomainError("ledger has no completed cells to report on")
-    return _write_outputs(ledger.config, done, (kind,))[0]
+    return _write_outputs(ledger, done, (kind,))[0]

@@ -34,7 +34,7 @@ import numpy as np
 
 from .corpus import Corpus, SegmentedWord
 from .errors import CapacityError, DomainError, SplitError, ValidationError
-from .records import Ratio, Record, as_fraction, format_ratio, parse_ratio  # noqa: F401
+from .records import Ratio, Record, as_fraction, format_ratio, parse_ratio, write_json  # noqa: F401
 
 STRATEGIES = ("random", "adversarial", "heuristic")
 STAGES = ("new_test_carving", "residual_split")
@@ -180,9 +180,7 @@ class SplitManifest(Record):
 
 
 def save_manifest(manifest: SplitManifest, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(manifest.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(path, manifest.to_dict())
 
 
 def load_manifest(path: str | Path) -> SplitManifest:

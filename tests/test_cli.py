@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -353,6 +354,17 @@ class TestResumeReportCli:
             assert run_cli("report", "--ledger", finished_run,
                            "--kind", kind) == 0
             assert ".csv" in capsys.readouterr().out
+
+    def test_damaged_ledger_exits_2_with_a_clean_error(self, finished_run, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(finished_run, run)
+        ledger = run / "ledger.json"
+        ledger.write_bytes(ledger.read_bytes()[:50])
+        for argv in (("resume",), ("report", "--kind", "tables")):
+            assert run_cli(*argv, "--ledger", run) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: damaged ledger") and str(ledger) in err
+            assert "Traceback" not in err
 
     def test_report_invalid_kind_usage_error(self, finished_run):
         with pytest.raises(SystemExit) as exc:

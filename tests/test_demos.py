@@ -20,3 +20,4 @@ def test_demo_runs(demo, tmp_path):
         env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmp_path)},
     )
     assert proc.returncode == 0, proc.stderr
+    assert list(tmp_path.glob("morphsplit-demo-*")) == []

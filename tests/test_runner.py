@@ -343,9 +343,9 @@ class TestSmokeRun:
         cfg, ledger = smoke_run
         assert len(ledger.cells) == 4
         assert ledger.failed_keys() == []
-        for status in ledger.cells.values():
+        for key, status in ledger.cells.items():
             assert status.status == "done"
-            assert Path(status.path).exists()
+            assert ledger.artifact(key).exists()
         out = Path(cfg.output_dir)
         assert (out / "ledger.json").exists()
         assert (out / "aggregate.csv").exists()
@@ -360,8 +360,8 @@ class TestSmokeRun:
         out = Path(cfg.output_dir)
         rows = read_csv(out / "languages" / "synA" / "report_rows.csv")
         by_key = {}
-        for status in ledger.cells.values():
-            payload = json.loads(Path(status.path).read_text())
+        for key in ledger.cells:
+            payload = json.loads(ledger.artifact(key).read_text())
             result = CellResult.from_dict(payload["result"])
             for m in result.models():
                 by_key[(result.cell_id, m)] = result
@@ -382,9 +382,9 @@ class TestSmokeRun:
         out = Path(cfg.output_dir)
         results = [
             CellResult.from_dict(
-                json.loads(Path(s.path).read_text())["result"]
+                json.loads(ledger.artifact(key).read_text())["result"]
             )
-            for s in ledger.cells.values()
+            for key in ledger.cells
         ]
         expected = {
             (r["model"], r["residual_strategy"]): r
@@ -405,9 +405,9 @@ class TestSmokeRun:
         out = Path(cfg.output_dir)
         results = [
             CellResult.from_dict(
-                json.loads(Path(s.path).read_text())["result"]
+                json.loads(ledger.artifact(key).read_text())["result"]
             )
-            for s in ledger.cells.values()
+            for key in ledger.cells
         ]
         rows = read_csv(out / "plots_data.csv")
         assert rows and list(rows[0].keys()) == [
@@ -457,9 +457,7 @@ class TestMinimalRun:
         ledger = R.run_experiment(cfg)
         assert len(ledger.done_keys()) == 1
         assert ledger.failed_keys() == []
-        payload = json.loads(
-            Path(ledger.cells[ledger.done_keys()[0]].path).read_text()
-        )
+        payload = json.loads(ledger.artifact(ledger.done_keys()[0]).read_text())
         result = CellResult.from_dict(payload["result"])
         assert tuple(result.models()) == ("longest_match",)
         assert result.ranking_eval.groups == (("longest_match",),)
@@ -605,12 +603,35 @@ class TestResume:
         out = Path(cfg.output_dir)
         data = json.loads((out / "ledger.json").read_text())
         key = sorted(data["cells"])[0]
-        data["cells"][key] = {"status": "failed", "seconds": 0.0,
-                              "path": "", "error": "boom"}
+        data["cells"][key] = {"status": "failed", "seconds": 0.0, "error": "boom"}
         (out / "ledger.json").write_text(json.dumps(data, indent=2))
+        # a failed cell has no artifact
+        (out / "cells" / f"{key}.json").unlink()
         ledger = R.resume(out)
         assert ledger.cells[key].status == "done"
-        assert Path(ledger.cells[key].path).exists()
+        assert ledger.artifact(key).exists()
+
+    @pytest.mark.parametrize("entry", ["failed", "missing"])
+    def test_cell_with_an_artifact_is_done_whatever_the_ledger_says(
+        self, corpus_file, tmp_path, monkeypatch, entry
+    ):
+        cfg = make_config(corpus_file, tmp_path / "run")
+        R.run_experiment(cfg)
+        out = Path(cfg.output_dir)
+        before = csv_bytes(out)
+        data = json.loads((out / "ledger.json").read_text())
+        key = sorted(data["cells"])[0]
+        if entry == "failed":
+            data["cells"][key] = {"status": "failed", "seconds": 0.0, "error": "boom"}
+        else:
+            del data["cells"][key]
+        (out / "ledger.json").write_text(json.dumps(data, indent=2))
+
+        monkeypatch.setattr(R, "compute_cell", no_compute)
+        ledger = R.resume(out)
+        assert ledger.cells[key].status == "done"
+        assert len(ledger.done_keys()) == 4
+        assert csv_bytes(out) == before
 
     def test_edited_config_refused(self, corpus_file, tmp_path):
         cfg = make_config(corpus_file, tmp_path / "run")
@@ -633,9 +654,6 @@ class TestResume:
         shutil.copy(saved, tmp_path / "run" / "ledger.json")
         stamps = {p: p.stat().st_mtime_ns for p in Path("run/cells").rglob("*.json")}
 
-        def no_compute(*args):
-            raise AssertionError("resume recomputed a cell")
-
         monkeypatch.setattr(R, "compute_cell", no_compute)
         ledger = R.resume("run")
         expected = json.loads(saved.read_text())
@@ -648,6 +666,79 @@ class TestResume:
     def test_missing_ledger(self, tmp_path):
         with pytest.raises(LedgerError, match="no ledger"):
             R.resume(tmp_path)
+
+
+def no_compute(*args):
+    raise AssertionError("a cell was recomputed")
+
+
+class TestRunLifecycle:
+    """A run is its directory: it can be moved, and interrupted and resumed."""
+
+    def test_moved_run_reports_and_resumes_where_it_is(self, corpus_file, tmp_path, monkeypatch):
+        cfg = make_config(corpus_file, tmp_path / "run")
+        R.run_experiment(cfg)
+        before = csv_bytes(cfg.output_dir)
+        moved = tmp_path / "elsewhere"
+        shutil.move(cfg.output_dir, moved)
+        monkeypatch.setattr(R, "compute_cell", no_compute)
+        written = [path for kind in R.REPORT_KINDS for path in R.report(moved, kind)]
+        assert written and all(moved in path.parents for path in written)
+        ledger = R.resume(moved)
+        assert ledger.failed_keys() == [] and len(ledger.done_keys()) == 4
+        assert ledger.path() == moved / "ledger.json"
+        assert csv_bytes(moved) == before
+        assert not Path(cfg.output_dir).exists()
+
+    def test_interrupted_run_keeps_its_cells_and_resumes_the_rest(
+        self, corpus_file, smoke_run, tmp_path, monkeypatch
+    ):
+        computed = []
+
+        def compute(corpus, cell, config, _compute=R.compute_cell):
+            computed.append(cell.cell_id)
+            return _compute(corpus, cell, config)
+
+        def interrupted(*args):
+            if len(computed) == 2:
+                raise KeyboardInterrupt
+            return compute(*args)
+
+        monkeypatch.setattr(R, "compute_cell", interrupted)
+        cfg = make_config(corpus_file, tmp_path / "run")
+        with pytest.raises(KeyboardInterrupt):
+            R.run_experiment(cfg)
+        out = Path(cfg.output_dir)
+        assert (out / "ledger.json").exists()
+        assert sorted(p.stem for p in (out / "cells").rglob("*.json")) == sorted(computed)
+        assert len(computed) == 2
+
+        monkeypatch.setattr(R, "compute_cell", compute)
+        ledger = R.resume(out)
+        assert len(computed) == 4 and len(set(computed)) == 4
+        assert ledger.failed_keys() == [] and len(ledger.done_keys()) == 4
+        assert csv_bytes(out) == csv_bytes(smoke_run[0].output_dir)
+        assert list(out.rglob("*.tmp")) == []
+
+    def test_new_run_trusts_no_artifact_of_an_earlier_run(self, corpus_file, smoke_run, tmp_path):
+        # same cell keys, other models: only resume may take an artifact as done
+        out = tmp_path / "run"
+        R.run_experiment(make_config(corpus_file, out, models=("longest_match",)))
+        ledger = R.run_experiment(make_config(corpus_file, out))
+        assert len(ledger.done_keys()) == 4
+        assert csv_bytes(out) == csv_bytes(smoke_run[0].output_dir)
+
+    def test_broken_pool_fails_the_pending_cells(self, corpus_file, tmp_path):
+        # the adapter kills the pool worker that runs it
+        cfg = make_config(
+            corpus_file, tmp_path / "run", parallelism=2,
+            models=("longest_match", "external:sh -c 'kill -9 $PPID'"),
+        )
+        assert len(R._grid_units(cfg, R._load_corpora(cfg))) == 2
+        ledger = R.run_experiment(cfg)
+        assert len(ledger.failed_keys()) == 4 and ledger.done_keys() == []
+        assert all("BrokenProcessPool" in s.error for s in ledger.cells.values())
+        assert R.RunLedger.load(cfg.output_dir).cells == ledger.cells
 
 
 class TestFailureIsolation:
