@@ -7,10 +7,11 @@ counted that many times), scores eval and new-test sets, writes each
 cell's JSON artifact as soon as the cell finishes, and emits per-language
 and pooled CSVs plus a resumable ledger. There is one run path: ``resume``
 completes the grid cells that have no readable artifact, and
-``run_experiment`` is the same step from an empty ledger. ``report``
-rewrites one report family through the same CSV writers. Cell computation
-is deterministic for a fixed master seed, so parallel schedules and reruns
-produce byte-identical CSVs; only the ledger's timing fields vary.
+``run_experiment`` is the same step from an empty ledger and ``cells/``.
+``report`` rewrites one report family through the same CSV writers. Cell
+computation is deterministic for a fixed master seed, so parallel
+schedules and reruns produce byte-identical CSVs; only the ledger's
+timing fields vary.
 
 The run directory is wherever ``ledger.json`` is, so a run can be moved,
 and an interrupted run keeps every cell it finished. Layout:
@@ -36,6 +37,7 @@ import csv
 import hashlib
 import json
 import logging
+import shutil
 import time
 import traceback
 from collections import Counter
@@ -823,21 +825,18 @@ def _write_outputs(
     return written, notes
 
 
-def _complete(ledger: RunLedger, resuming: bool) -> RunLedger:
+def _complete(ledger: RunLedger) -> RunLedger:
     """Compute every grid cell that has no artifact, then rewrite the reports.
 
-    When resuming, a cell is done when its artifact decodes, whatever the
-    ledger says: an artifact follows from the config (its hash is checked
-    on load), the corpus (its digest is checked here) and the cell key. A
-    new run trusts no file in its directory, which another config may have
-    written. Cell keys follow from the grid coordinates, so splits are built
-    only for the work units (carves) that have a pending cell, and only the
-    residual splits of those cells; a run with nothing pending makes no
-    split at all. Each artifact left untouched is read once; each computed
-    one is written as it arrives, between a ledger save listing the pending
-    cells and one after the last. A broken process pool fails the cells
-    still pending. Refuses with :class:`LedgerError` when a corpus file's
-    content no longer matches the digest the ledger recorded for it.
+    A cell is done when its artifact decodes, whatever the ledger says: an
+    artifact follows from the config (hash checked on load), the corpus
+    (digest checked here) and the cell key. Keys follow from the grid
+    coordinates, so splits are built only for the carves with a pending
+    cell, and only those cells' residual splits. Each computed artifact is
+    written as it arrives, between a ledger save listing the pending cells
+    and one after the last; a broken process pool fails the cells still
+    pending. Refuses with :class:`LedgerError` when a corpus file's content
+    no longer matches the digest the ledger recorded for it.
     """
     config = ledger.config
     ledger.check_corpora()
@@ -845,7 +844,7 @@ def _complete(ledger: RunLedger, resuming: bool) -> RunLedger:
     ledger.corpus_sha256 = {path: _sha256(path) for path in config.corpus_paths}
 
     units = _grid_units(config, corpora)
-    done = _read_done(ledger, (key for unit in units for key in unit) if resuming else ())
+    done = _read_done(ledger, (key for unit in units for key in unit))
     for key in done.keys() - set(ledger.done_keys()):
         ledger.cells[key] = CellStatus("done")
     todo = [pending for unit in units if (pending := [key for key in unit if key not in done])]
@@ -871,12 +870,13 @@ def _complete(ledger: RunLedger, resuming: bool) -> RunLedger:
 
 
 def run_experiment(config: RunConfig) -> RunLedger:
-    """Execute the full grid and write artifacts, reports, and the ledger.
-
-    Cell failures are recorded in the ledger and skipped; the caller
-    decides process exit status from ``ledger.failed_keys()``.
+    """Execute the full grid into an emptied ``cells/`` (no artifact there is
+    this run's), then write the reports and the ledger. Cell failures are
+    recorded and skipped; the caller decides exit status from them.
     """
-    return _complete(RunLedger(config=config, config_hash=config.config_hash()), resuming=False)
+    ledger = RunLedger(config=config, config_hash=config.config_hash())
+    shutil.rmtree(ledger.root / "cells", ignore_errors=True)
+    return _complete(ledger)
 
 
 def resume(ledger_path: str | Path) -> RunLedger:
@@ -885,16 +885,16 @@ def resume(ledger_path: str | Path) -> RunLedger:
     Refuses (with :class:`LedgerError`) when the ledger's embedded config
     no longer matches its recorded hash.
     """
-    return _complete(RunLedger.load(ledger_path), resuming=True)
+    return _complete(RunLedger.load(ledger_path))
 
 
 def report(ledger_path: str | Path, kind: str) -> list[Path]:
-    """Regenerate one report family from a saved run's artifacts."""
+    """Rewrite one report family from the ledger's cells whose artifacts decode."""
     if kind not in REPORT_KINDS:
         raise DomainError(f"kind must be one of {REPORT_KINDS}, got {kind!r}")
     ledger = RunLedger.load(ledger_path)
     ledger.check_corpora()
-    done = _read_done(ledger, ledger.done_keys())
+    done = _read_done(ledger, ledger.cells)
     if not done:
         raise DomainError("ledger has no completed cells to report on")
     return _write_outputs(ledger, done, (kind,))[0]

@@ -712,6 +712,10 @@ class TestRunLifecycle:
         assert (out / "ledger.json").exists()
         assert sorted(p.stem for p in (out / "cells").rglob("*.json")) == sorted(computed)
         assert len(computed) == 2
+        # report takes the finished cells as resume does
+        R.report(out, "tables")
+        rankings = read_csv(out / "best_rankings.csv")
+        assert sum(int(r["count"]) for r in rankings if r["side"] == "eval") == 2
 
         monkeypatch.setattr(R, "compute_cell", compute)
         ledger = R.resume(out)
@@ -720,12 +724,37 @@ class TestRunLifecycle:
         assert csv_bytes(out) == csv_bytes(smoke_run[0].output_dir)
         assert list(out.rglob("*.tmp")) == []
 
-    def test_new_run_trusts_no_artifact_of_an_earlier_run(self, corpus_file, smoke_run, tmp_path):
-        # same cell keys, other models: only resume may take an artifact as done
+    @pytest.mark.parametrize("fault", [None, KeyboardInterrupt, RuntimeError])
+    def test_new_run_keeps_no_artifact_of_an_earlier_run(
+        self, corpus_file, smoke_run, tmp_path, monkeypatch, fault
+    ):
+        # same cell keys, other models; the second run's first cell may raise
         out = tmp_path / "run"
         R.run_experiment(make_config(corpus_file, out, models=("longest_match",)))
-        ledger = R.run_experiment(make_config(corpus_file, out))
-        assert len(ledger.done_keys()) == 4
+        computed = []
+
+        def compute(corpus, cell, config, _compute=R.compute_cell):
+            computed.append(cell.cell_id)
+            if len(computed) == 1 and fault is not None:
+                raise fault
+            return _compute(corpus, cell, config)
+
+        monkeypatch.setattr(R, "compute_cell", compute)
+        try:
+            ledger = R.run_experiment(make_config(corpus_file, out))
+        except KeyboardInterrupt:
+            assert len(computed) == 1
+            pending = 4
+        else:
+            pending = len(ledger.failed_keys())
+            assert pending == (fault is not None) and len(computed) == 4
+        assert len(list((out / "cells").rglob("*.json"))) == 4 - pending
+
+        fault = None
+        computed.clear()
+        ledger = R.resume(out)
+        assert len(computed) == pending
+        assert ledger.failed_keys() == [] and len(ledger.done_keys()) == 4
         assert csv_bytes(out) == csv_bytes(smoke_run[0].output_dir)
 
     def test_broken_pool_fails_the_pending_cells(self, corpus_file, tmp_path):
