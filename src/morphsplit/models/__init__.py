@@ -8,12 +8,13 @@ uniform entry point keyed by :class:`SegmenterId`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Protocol, runtime_checkable
 
 from ..corpus import Corpus, SegmentedWord
 from ..errors import ConfigError, ContractError
+from ..records import DECODE_ERRORS
 from .baselines import (
     BoundaryLogisticModel,
     LongestMatchModel,
@@ -32,7 +33,7 @@ from .crf import (
     viterbi_raw,
 )
 from .external import ExternalModel, external_segment, train_external
-from .features import FeatureTable, FeatureTemplate, extract_features
+from .features import FeatureTable, FeatureTemplate, LinearFeatureModel, extract_features
 from .optim import LBFGS_MEMORY, OPTIMIZERS, OptimResult, TrainConfig, minimize
 
 BUILTIN_SEGMENTERS = ("boundary_logistic", "crf", "longest_match", "unigram_viterbi")
@@ -86,7 +87,7 @@ class SegmenterId:
     @property
     def featurized(self) -> bool:
         """Whether training reads a :class:`FeatureTable`."""
-        return self.name in ("boundary_logistic", "crf")
+        return issubclass(_MODEL_CLASSES[self.name], LinearFeatureModel)
 
     def key(self) -> str:
         """Stable identifier used in result tables and rankings."""
@@ -108,7 +109,9 @@ def train_segmenter(
 
     ``template``, ``config`` and a shared feature ``table`` apply to the
     feature-based models; the unigram model takes ``unigram_smoothing``; the
-    external adapter needs ``workdir`` to hold its train file.
+    external adapter needs ``workdir`` to hold its train file. The boundary
+    classifier is defined as gradient-descent trained, so
+    ``config.optimizer`` governs the CRF only.
     """
     if isinstance(segmenter, str):
         segmenter = SegmenterId.parse(segmenter)
@@ -117,6 +120,8 @@ def train_segmenter(
     if segmenter.name == "unigram_viterbi":
         return train_unigram_viterbi(corpus, smoothing=unigram_smoothing)
     if segmenter.name == "boundary_logistic":
+        if config is not None:
+            config = replace(config, optimizer="gradient_descent")
         return train_boundary_logistic(corpus, template=template, config=config, table=table)
     if segmenter.name == "longest_match":
         return train_longest_match(corpus)
@@ -146,13 +151,18 @@ def save_model(model, path: str | Path) -> None:
 
 
 def load_model(path: str | Path):
-    """Load a model saved by :func:`save_model`."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    kind = data.get("kind")
-    cls = _MODEL_CLASSES.get(kind)
-    if cls is None:
-        raise ContractError(f"unknown model kind {kind!r} in {path}")
-    return cls.from_dict(data)
+    """Load a model saved by :func:`save_model`; a file that does not
+    decode to one raises :class:`ContractError` naming it."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        data = json.loads(text)
+        kind = data.get("kind")
+        cls = _MODEL_CLASSES.get(kind)
+        if cls is None:
+            raise ContractError(f"unknown model kind {kind!r} in {path}")
+        return cls.from_dict(data)
+    except DECODE_ERRORS as exc:
+        raise ContractError(f"damaged model file {path}: {exc}") from None
 
 
 __all__ = [

@@ -7,22 +7,18 @@ concatenation invariant by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
 
 from ..corpus import Corpus, Label, SegmentedWord, graphemes, interior_labels
-from ..errors import DomainError, ValidationError
+from ..errors import DomainError
 from .features import (
     FeatureTable,
     FeatureTemplate,
+    LinearFeatureModel,
     extract_features,
-    index_ranks,
-    localize,
-    rank_ids,
-    table_rows,
-    train_template,
 )
 from .optim import TrainConfig, minimize
 
@@ -141,48 +137,25 @@ def _design_matrix(ids: np.ndarray, ptr: np.ndarray, n_features: int) -> sparse.
     )
 
 
-@dataclass
-class BoundaryLogisticModel:
-    """Per-gap logistic regression; a boundary opens iff p > 0.5 strictly.
+class BoundaryLogisticModel(LinearFeatureModel):
+    """Per-gap logistic regression; a boundary opens iff p > 0.5 strictly."""
 
-    ``table`` is the feature table the model was trained through and
-    ``table_ids`` the model's feature id of each of its gap ranks (-1 where
-    it has none); neither is serialized. Words outside the table are
-    featurized anew.
-    """
-
-    feature_index: dict[str, int]
-    weights: np.ndarray
-    template: FeatureTemplate
-    l2_lambda: float
-    table: FeatureTable | None = field(default=None, repr=False, compare=False)
-    table_ids: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.weights.shape != (len(self.feature_index),):
-            raise ValidationError("weight length must match the feature index")
+    KIND = "boundary_logistic"
+    GAPS = True
 
     def _design(self, surfaces) -> sparse.csr_matrix:
         """The design matrix of every gap of every surface, in order."""
-        table, rows = table_rows(self.table, surfaces, self.template)
-        local = self.table_ids if table is self.table else rank_ids(self.feature_index, table.gap_names)
-        return _design_matrix(*localize(*table.gap_ranks(rows), local), len(self.weights))
-
-    def _gap_scores(self, surfaces) -> np.ndarray:
-        """z = w . x for every gap of every surface, in order."""
-        return self._design(surfaces) @ self.weights
-
-    def segment(self, surface: str) -> SegmentedWord:
-        return self.segment_batch([surface])[0]
+        ids, ptr, _ = self.feature_ids(surfaces)
+        return _design_matrix(ids, ptr, len(self.weights))
 
     def segment_batch(self, surfaces) -> list[SegmentedWord]:
         """Segment every surface from one sparse product over all gaps."""
+        surfaces = list(surfaces)
         words = [graphemes(s) for s in surfaces]
         if not all(words):
             raise DomainError("surface must be non-empty")
         # sigma(z) > 0.5 iff z > 0; z == 0 stays unsplit
-        split = (self._gap_scores(surfaces) > 0.0).tolist()
+        split = (self._design(surfaces) @ self.weights > 0.0).tolist()
         out = []
         k = 0
         for surface, g in zip(surfaces, words):
@@ -193,26 +166,6 @@ class BoundaryLogisticModel:
                 SegmentedWord(surface, tuple("".join(g[i:j]) for i, j in zip(cuts, cuts[1:])))
             )
         return out
-
-    def to_dict(self) -> dict:
-        order = sorted(self.feature_index, key=self.feature_index.__getitem__)
-        return {
-            "kind": "boundary_logistic",
-            "template": self.template.to_dict(),
-            "l2_lambda": float(self.l2_lambda),
-            "features": order,
-            "weights": [float(w) for w in self.weights],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BoundaryLogisticModel":
-        features = list(data["features"])
-        return cls(
-            feature_index={f: i for i, f in enumerate(features)},
-            weights=np.asarray(data["weights"], dtype=float),
-            template=FeatureTemplate.from_dict(data["template"]),
-            l2_lambda=float(data["l2_lambda"]),
-        )
 
 
 def _targets(words) -> np.ndarray:
@@ -266,35 +219,21 @@ def train_boundary_logistic(
     first occurrence over the gaps in corpus order, each gap's features by
     name. Words are featurized through ``table`` when it holds them all.
     """
-    template = train_template(template, table)
     config = config if config is not None else TrainConfig(optimizer="gradient_descent")
-    words = list(corpus)
-    if not words:
-        raise DomainError("train_boundary_logistic needs a non-empty corpus")
-    table, rows = table_rows(table, (w.surface for w in words), template)
-    ranks, ptr = table.gap_ranks(rows)
-    feature_index, local = index_ranks(ranks, table.gap_names)
-    X = _design_matrix(*localize(ranks, ptr, local), len(feature_index))
-    targets = _targets(words)
-    x0 = np.zeros(len(feature_index))
-    if X.shape[0]:
-        result = minimize(
-            lambda w: _logistic_value(w, X, targets, config.l2_lambda),
-            x0,
-            config,
-            context="boundary logistic training",
-        )
-        weights = result.x
-    else:
-        weights = x0
-    return BoundaryLogisticModel(
-        feature_index=feature_index,
-        weights=weights,
-        template=template,
-        l2_lambda=config.l2_lambda,
-        table=table,
-        table_ids=local,
+    model, words, (ids, ptr, _) = BoundaryLogisticModel.untrained(
+        corpus, template, config.l2_lambda, table
     )
+    X = _design_matrix(ids, ptr, len(model.weights))
+    if not X.shape[0]:
+        return model
+    targets = _targets(words)
+    result = minimize(
+        lambda w: _logistic_value(w, X, targets, config.l2_lambda),
+        model.weights,
+        config,
+        context="boundary logistic training",
+    )
+    return replace(model, weights=result.x)
 
 
 @dataclass

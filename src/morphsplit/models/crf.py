@@ -14,7 +14,7 @@ with gradients from forward-backward marginals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,18 +25,14 @@ from ..corpus import (
     decode_labels,
     interior_labels,
 )
-from ..errors import DomainError, ValidationError
+from ..errors import DomainError
 # extract_features stays importable here: perfbench/tracing.py rebinds it
 from .features import (  # noqa: F401
     FeatureTable,
     FeatureTemplate,
+    LinearFeatureModel,
     concat_ranges,
     extract_features,
-    index_ranks,
-    localize,
-    rank_ids,
-    table_rows,
-    train_template,
 )
 from .optim import OptimResult, TrainConfig, minimize
 
@@ -46,37 +42,18 @@ END_ID = int(Label.END)
 
 
 @dataclass
-class CrfModel:
-    """A trained CRF: feature index, emission and transition weights.
+class CrfModel(LinearFeatureModel):
+    """A trained CRF: emission weights of every feature and label, then the
+    transition weights; ``history`` holds the training objective values."""
 
-    ``table`` is the feature table the model was trained through and
-    ``table_ids`` the model's feature id of each of its ranks (-1 where it
-    has none); neither is serialized. Words outside the table are
-    featurized anew.
-    """
+    KIND = "crf"
+    GAPS = False
 
-    label_set: tuple[Label, ...]
-    feature_index: dict[str, int]
-    weights: np.ndarray
-    template: FeatureTemplate
-    l2_lambda: float
     history: tuple[float, ...] = field(default=(), repr=False, compare=False)
-    table: FeatureTable | None = field(default=None, repr=False, compare=False)
-    table_ids: np.ndarray | None = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        self.weights = np.asarray(self.weights, dtype=float)
-        n_f = len(self.feature_index)
-        want = n_f * N_LABELS + N_LABELS * N_LABELS
-        if self.weights.shape != (want,):
-            raise ValidationError(
-                f"weight vector must have length {want} "
-                f"({n_f} features), got {self.weights.shape}"
-            )
-        if not np.all(np.isfinite(self.weights)):
-            raise ValidationError("weights must be finite")
-        if tuple(self.label_set) != tuple(Label):
-            raise ValidationError("label_set must be the six standard labels")
+    @staticmethod
+    def n_weights(n_features: int) -> int:
+        return n_features * N_LABELS + N_LABELS * N_LABELS
 
     @property
     def emission(self) -> np.ndarray:
@@ -90,21 +67,10 @@ class CrfModel:
         n_f = len(self.feature_index)
         return self.weights[n_f * N_LABELS:].reshape(N_LABELS, N_LABELS)
 
-    def _feature_ids(self, surfaces) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(ids, ptr, lengths): the known feature ids of every position of
-        ``surfaces``, CSR by position, and each surface's grapheme count."""
-        table, rows = table_rows(self.table, surfaces, self.template)
-        local = self.table_ids if table is self.table else rank_ids(self.feature_index, table.names)
-        ids, ptr = localize(*table.position_ranks(rows), local)
-        return ids, ptr, table.lengths[rows]
-
     def emissions(self, surface: str) -> np.ndarray:
         """Per-position label scores, shape (L, 6)."""
-        (group,) = _build_groups(*self._feature_ids([surface]))
+        (group,) = _build_groups(*self.feature_ids([surface]))
         return _group_emissions(group, self.emission)[0]
-
-    def segment(self, surface: str) -> SegmentedWord:
-        return self.segment_batch([surface])[0]
 
     def segment_batch(self, surfaces) -> list[SegmentedWord]:
         """Viterbi-decode every surface, one vectorized pass per word length."""
@@ -113,34 +79,13 @@ class CrfModel:
             raise DomainError("surface must be non-empty")
         out: list[SegmentedWord | None] = [None] * len(surfaces)
         W, T = self.emission, self.transition
-        for grp in _build_groups(*self._feature_ids(surfaces)):
+        for grp in _build_groups(*self.feature_ids(surfaces)):
             paths, _ = _viterbi(_group_emissions(grp, W), T)
             for k, path in zip(grp.members, paths.tolist()):
                 out[k] = decode_labels(
                     surfaces[k], (Label.START, *map(Label, path), Label.END)
                 )
         return out
-
-    def to_dict(self) -> dict:
-        order = sorted(self.feature_index, key=self.feature_index.__getitem__)
-        return {
-            "kind": "crf",
-            "template": self.template.to_dict(),
-            "l2_lambda": float(self.l2_lambda),
-            "features": order,
-            "weights": [float(w) for w in self.weights],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CrfModel":
-        features = list(data["features"])
-        return cls(
-            label_set=tuple(Label),
-            feature_index={f: i for i, f in enumerate(features)},
-            weights=np.asarray(data["weights"], dtype=float),
-            template=FeatureTemplate.from_dict(data["template"]),
-            l2_lambda=float(data["l2_lambda"]),
-        )
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -302,7 +247,7 @@ def crf_gradient(model: CrfModel, batch) -> tuple[float, np.ndarray]:
     words = list(batch)
     if not words:
         raise DomainError("crf_gradient needs a non-empty batch")
-    groups = _build_groups(*model._feature_ids(w.surface for w in words), _gold(words))
+    groups = _build_groups(*model.feature_ids(w.surface for w in words), _gold(words))
     return _objective_and_grad(
         model.weights, groups, len(words), len(model.feature_index), model.l2_lambda
     )
@@ -361,29 +306,13 @@ def train_crf(
     accepted objective values are kept on the model's ``history``. Words
     are featurized through ``table`` when it holds them all.
     """
-    template = train_template(template, table)
     config = config if config is not None else TrainConfig()
-    words = list(corpus)
-    if not words:
-        raise DomainError("train_crf needs a non-empty corpus")
-    table, rows = table_rows(table, (w.surface for w in words), template)
-    ranks, ptr = table.position_ranks(rows)
-    feature_index, local = index_ranks(ranks, table.names)
-    groups = _build_groups(*localize(ranks, ptr, local), table.lengths[rows], _gold(words))
-    n_features = len(feature_index)
-    x0 = np.zeros(n_features * N_LABELS + N_LABELS * N_LABELS)
+    model, words, features = CrfModel.untrained(corpus, template, config.l2_lambda, table)
+    groups = _build_groups(*features, _gold(words))
+    n_features = len(model.feature_index)
 
     def fun(w):
         return _objective_and_grad(w, groups, len(words), n_features, config.l2_lambda)
 
-    result: OptimResult = minimize(fun, x0, config, context="crf training")
-    return CrfModel(
-        label_set=tuple(Label),
-        feature_index=feature_index,
-        weights=result.x,
-        template=template,
-        l2_lambda=config.l2_lambda,
-        history=result.history,
-        table=table,
-        table_ids=local,
-    )
+    result: OptimResult = minimize(fun, model.weights, config, context="crf training")
+    return replace(model, weights=result.x, history=result.history)

@@ -4,19 +4,21 @@
 :class:`FeatureTable` holds the features of every position of a list of
 words as integer ranks, extracted once, so the cells of a run and both
 feature models share one featurization of each corpus.
+:class:`LinearFeatureModel` is what both feature models are: a weight
+vector over a feature index, featurized through a table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Iterable
+from typing import ClassVar, Iterable
 
 import numpy as np
 
-from ..corpus import graphemes
-from ..errors import ContractError, ValidationError
+from ..corpus import SegmentedWord, graphemes
+from ..errors import ContractError, DomainError, ValidationError
 from ..records import Record
 
 
@@ -207,18 +209,6 @@ def table_rows(
     return table, rows
 
 
-def train_template(template: FeatureTemplate | None, table: FeatureTable | None) -> FeatureTemplate:
-    """The template a training uses: ``template``, else the table's, else
-    the default. Refuses a table built for another template."""
-    if template is None:
-        template = table.template if table is not None else FeatureTemplate()
-    if table is not None and table.template != template:
-        raise ContractError(
-            f"feature table was built for {table.template}, training asks for {template}"
-        )
-    return template
-
-
 def index_ranks(ranks: np.ndarray, names) -> tuple[dict[str, int], np.ndarray]:
     """A new feature index over the ranks that occur, numbered in order of
     first occurrence, and its rank-to-id array (-1 where a rank is absent).
@@ -250,3 +240,122 @@ def localize(ranks: np.ndarray, ptr: np.ndarray, local: np.ndarray) -> tuple[np.
     # ids are distinct within a row, so one key orders rows, then ids
     order = np.argsort(seg * (int(local.max(initial=-1)) + 1) + ids, kind="stable")
     return ids[order], _ptr(np.bincount(seg, minlength=len(ptr) - 1))
+
+
+@dataclass
+class LinearFeatureModel:
+    """A weight vector over a feature index, featurized through a
+    :class:`FeatureTable`.
+
+    Subclasses set ``KIND``, the ``kind`` they are saved under; ``GAPS``,
+    whether their features describe the gaps between graphemes (the table's
+    gap ranks) rather than the graphemes (its position ranks);
+    ``n_weights``, the weight count for an index size; and
+    ``segment_batch``.
+
+    ``table`` is the feature table the model was trained through and
+    ``table_ids`` the model's feature id of each of its ranks (-1 where it
+    has none); neither is serialized. Words outside the table are
+    featurized anew.
+    """
+
+    KIND: ClassVar[str]
+    GAPS: ClassVar[bool]
+
+    feature_index: dict[str, int]
+    weights: np.ndarray
+    template: FeatureTemplate
+    l2_lambda: float
+    table: FeatureTable | None = field(default=None, repr=False, compare=False)
+    table_ids: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @staticmethod
+    def n_weights(n_features: int) -> int:
+        return n_features
+
+    def __post_init__(self) -> None:
+        self.weights = np.asarray(self.weights, dtype=float)
+        n_f = len(self.feature_index)
+        want = self.n_weights(n_f)
+        if self.weights.shape != (want,):
+            raise ValidationError(
+                f"weight vector must have length {want} "
+                f"({n_f} features), got {self.weights.shape}"
+            )
+        if not np.all(np.isfinite(self.weights)):
+            raise ValidationError("weights must be finite")
+
+    def segment(self, surface: str) -> SegmentedWord:
+        return self.segment_batch([surface])[0]
+
+    @classmethod
+    def _rank_space(cls, table: FeatureTable, rows: np.ndarray):
+        """(ranks, ptr, names): the features of the words at ``rows`` in
+        the model's rank space, CSR by position or gap, and the names of
+        that space."""
+        if cls.GAPS:
+            return (*table.gap_ranks(rows), table.gap_names)
+        return (*table.position_ranks(rows), table.names)
+
+    def feature_ids(self, surfaces) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(ids, ptr, lengths): the known feature ids of every position (or
+        gap) of ``surfaces``, CSR, and each surface's grapheme count."""
+        table, rows = table_rows(self.table, surfaces, self.template)
+        ranks, ptr, names = self._rank_space(table, rows)
+        local = self.table_ids if table is self.table else rank_ids(self.feature_index, names)
+        return (*localize(ranks, ptr, local), table.lengths[rows])
+
+    @classmethod
+    def untrained(cls, corpus, template: FeatureTemplate | None, l2_lambda: float,
+                  table: FeatureTable | None):
+        """(model, words, features): the zero-weight model over the
+        features of ``corpus``, its words, and their (ids, ptr, lengths) as
+        :meth:`feature_ids` gives them.
+
+        The feature index follows first occurrence over the positions (or
+        gaps) in corpus order, each one's features by name. Words are
+        featurized through ``table`` when it holds them all. ``template``
+        defaults to the table's, else to the default; a table built for
+        another template is refused.
+        """
+        if template is None:
+            template = table.template if table is not None else FeatureTemplate()
+        if table is not None and table.template != template:
+            raise ContractError(
+                f"feature table was built for {table.template}, training asks for {template}"
+            )
+        words = list(corpus)
+        if not words:
+            raise DomainError(f"train_{cls.KIND} needs a non-empty corpus")
+        table, rows = table_rows(table, (w.surface for w in words), template)
+        ranks, ptr, names = cls._rank_space(table, rows)
+        feature_index, local = index_ranks(ranks, names)
+        model = cls(
+            feature_index=feature_index,
+            weights=np.zeros(cls.n_weights(len(feature_index))),
+            template=template,
+            l2_lambda=l2_lambda,
+            table=table,
+            table_ids=local,
+        )
+        return model, words, (*localize(ranks, ptr, local), table.lengths[rows])
+
+    def to_dict(self) -> dict:
+        order = sorted(self.feature_index, key=self.feature_index.__getitem__)
+        return {
+            "kind": self.KIND,
+            "template": self.template.to_dict(),
+            "l2_lambda": float(self.l2_lambda),
+            "features": order,
+            "weights": [float(w) for w in self.weights],
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        features = list(data["features"])
+        return cls(
+            feature_index={f: i for i, f in enumerate(features)},
+            weights=np.asarray(data["weights"], dtype=float),
+            template=FeatureTemplate.from_dict(data["template"]),
+            l2_lambda=float(data["l2_lambda"]),
+        )

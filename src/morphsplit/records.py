@@ -66,6 +66,9 @@ Ratio = Annotated[Fraction, "a:b"]
 
 _SCALARS = (int, float, str, bool)
 
+#: What decoding a damaged JSON file can raise, from json.loads or a codec.
+DECODE_ERRORS = (ValueError, TypeError, KeyError, AttributeError, ValidationError)
+
 Converter = Callable[[Any], Any]
 
 

@@ -75,7 +75,7 @@ from .models import (
     segment_corpus,
     train_segmenter,
 )
-from .records import Ratio, Record, decode_field, write_json
+from .records import DECODE_ERRORS, Ratio, Record, decode_field, write_json
 from .splitter import (
     DEFAULT_ADVERSARIAL_BUDGET,
     GRID_STRATEGIES,
@@ -169,8 +169,9 @@ class RunConfig(Record):
         # model spec) fails here, once
         try:
             self.template()
+            self.train_config(seed=0)
             for spec in self.models:
-                self.train_config(SegmenterId.parse(spec), seed=0)
+                SegmenterId.parse(spec)
             for generation in self.new_test_generations:
                 self.plan(generation)
         except ValidationError as exc:
@@ -179,14 +180,9 @@ class RunConfig(Record):
     def template(self) -> FeatureTemplate:
         return FeatureTemplate(max_ngram=self.max_ngram, window=self.window)
 
-    def train_config(self, segmenter: SegmenterId, seed: int) -> TrainConfig:
-        # the boundary classifier is defined as gradient-descent trained;
-        # the optimizer knob governs the CRF
-        optimizer = (
-            "gradient_descent" if segmenter.name == "boundary_logistic" else self.optimizer
-        )
+    def train_config(self, seed: int) -> TrainConfig:
         return TrainConfig(
-            optimizer=optimizer,
+            optimizer=self.optimizer,
             max_iterations=self.max_iterations,
             convergence_tol=self.convergence_tol,
             l2_lambda=self.l2_lambda,
@@ -267,7 +263,7 @@ class RunLedger(Record):
             raise LedgerError(f"no ledger at {ledger_path}")
         try:
             ledger = cls.from_dict(json.loads(ledger_path.read_text(encoding="utf-8")))
-        except _DECODE_ERRORS as exc:
+        except DECODE_ERRORS as exc:
             raise LedgerError(f"damaged ledger {ledger_path}: {exc}") from None
         ledger.root = ledger_path.parent
         stored = ledger.config_hash
@@ -297,10 +293,6 @@ class RunLedger(Record):
                     f"{actual[:12]} vs {recorded[:12]}); its cells were scored "
                     "on the old content, so start a new run"
                 )
-
-
-# What decoding a damaged JSON file can raise, from json.loads or a codec.
-_DECODE_ERRORS = (ValueError, TypeError, KeyError, AttributeError, ValidationError)
 
 
 def _sha256(path: str | Path) -> str:
@@ -364,7 +356,7 @@ def compute_cell(corpus: Corpus, cell: GridCell, config: RunConfig) -> dict:
                     sid,
                     train,
                     template=template,
-                    config=config.train_config(sid, seed),
+                    config=config.train_config(seed),
                     unigram_smoothing=config.unigram_smoothing,
                     workdir=None if tmp is None else Path(tmp) / f"m{mi}k{k}",
                     table=features,
@@ -776,7 +768,7 @@ def _read_done(ledger: RunLedger, keys: Iterable[str]) -> dict[str, _Scored]:
             continue
         try:
             done[key] = _scored(json.loads(path.read_text(encoding="utf-8")))
-        except _DECODE_ERRORS as exc:
+        except DECODE_ERRORS as exc:
             logger.warning(
                 "ignoring damaged cell artifact %s (%s: %s)", path, type(exc).__name__, exc
             )

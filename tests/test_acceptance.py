@@ -85,7 +85,6 @@ def random_crf(surfaces, seed, template=SMALL, scale=0.5, l2=0.0):
     n = len(index) * 6 + 36
     weights = scale * rng.standard_normal(n) if scale else np.zeros(n)
     return CrfModel(
-        label_set=tuple(Label),
         feature_index=index,
         weights=weights,
         template=template,

@@ -121,6 +121,43 @@ class TestTrainSegmentEvaluate:
         assert surface == "dedno"
         assert "".join(morphemes.split(" ")) == "dedno"
 
+    def test_boundary_logistic_model_is_the_experiments(self, corpus_file, tmp_path):
+        """``train`` and the experiment train the boundary classifier alike,
+        by gradient descent whatever ``--optimizer`` says."""
+        from morphsplit.models import FeatureTable, SegmenterId, save_model, train_segmenter
+
+        cli_model = tmp_path / "cli.json"
+        assert run_cli("train", "--corpus", corpus_file, "--model", "boundary_logistic",
+                       "--output", cli_model) == 0
+        cfg = RunConfig(corpus_paths=(str(corpus_file),), output_dir=str(tmp_path / "run"))
+        corpus = parse_corpus(corpus_file)
+        model = train_segmenter(
+            SegmenterId("boundary_logistic"),
+            corpus,
+            template=cfg.template(),
+            config=cfg.train_config(seed=0),
+            table=FeatureTable((w.surface for w in corpus), cfg.template()),
+        )
+        save_model(model, tmp_path / "experiment.json")
+        assert cli_model.read_bytes() == (tmp_path / "experiment.json").read_bytes()
+
+    @pytest.mark.parametrize("damage", ["no_features", "truncated"])
+    def test_damaged_model_exits_2_with_a_clean_error(self, corpus_file, tmp_path, capsys, damage):
+        model = tmp_path / "model.json"
+        if damage == "no_features":
+            model.write_text('{"kind": "crf"}\n')
+        else:
+            run_cli("train", "--corpus", corpus_file, "--model", "crf",
+                    "--max-iterations", 2, "--output", model)
+            model.write_bytes(model.read_bytes()[:100])
+        words = tmp_path / "words.txt"
+        words.write_text("dedno\n")
+        capsys.readouterr()
+        assert run_cli("segment", "--model", model, "--input", words) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: damaged model file") and str(model) in err
+        assert "Traceback" not in err
+
     def test_single_variant_flag(self, corpus_file, tmp_path, capsys):
         gold = tmp_path / "g.tsv"
         gold.write_text("ab\ta b\n")

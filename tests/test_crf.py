@@ -47,7 +47,6 @@ def make_model(surfaces, seed=0, l2=0.0, template=SMALL, scale=0.5):
     n = len(index) * 6 + 36
     weights = scale * rng.standard_normal(n) if scale else np.zeros(n)
     return CrfModel(
-        label_set=tuple(Label),
         feature_index=index,
         weights=weights,
         template=template,
@@ -95,7 +94,6 @@ class TestLogPartition:
         shifted = model.weights.copy()
         shifted[bos * 6:(bos + 1) * 6] += 2.5
         model2 = CrfModel(
-            label_set=tuple(Label),
             feature_index=model.feature_index,
             weights=shifted,
             template=model.template,
@@ -153,7 +151,6 @@ class TestViterbi:
         shifted = model.weights.copy()
         shifted[-36:] += 1.7
         model2 = CrfModel(
-            label_set=tuple(Label),
             feature_index=model.feature_index,
             weights=shifted,
             template=model.template,
@@ -275,7 +272,6 @@ class TestGradient:
 
         def value(w):
             m = CrfModel(
-                label_set=tuple(Label),
                 feature_index=base.feature_index,
                 weights=w,
                 template=base.template,
@@ -367,7 +363,6 @@ class TestTraining:
     def test_weight_length_validated(self):
         with pytest.raises(ValidationError):
             CrfModel(
-                label_set=tuple(Label),
                 feature_index={"f": 0},
                 weights=np.zeros(5),
                 template=SMALL,

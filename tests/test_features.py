@@ -231,6 +231,7 @@ def test_shared_table_changes_no_model_byte(train, objective, config, tmp_path):
     expected = shared.segment_batch(surfaces)
     assert alone.segment_batch(surfaces) == expected
     assert loaded.segment_batch(surfaces) == expected
+    assert shared.segment_batch(s for s in surfaces) == expected
     # one word at a time, a new table has far fewer ranks than the model has ids
     assert [loaded.segment(s) for s in surfaces] == expected
     batch = words[1::3]

@@ -166,16 +166,23 @@ class TestRunConfig:
             assert R.RunLedger.load(cfg.output_dir).config == cfg
 
     def test_boundary_logistic_trains_by_gradient_descent(
-        self, corpus_file, tmp_path
+        self, corpus_file, tmp_path, monkeypatch
     ):
-        from morphsplit.models import SegmenterId
+        """The run's optimizer setting governs the CRF; the boundary
+        classifier is gradient-descent trained whatever it says."""
+        from morphsplit.models import baselines, crf
 
-        cfg = make_config(corpus_file, tmp_path, optimizer="lbfgs")
-        bl = cfg.train_config(SegmenterId("boundary_logistic"), seed=7)
-        crf = cfg.train_config(SegmenterId("crf"), seed=7)
-        assert bl.optimizer == "gradient_descent"
-        assert crf.optimizer == "lbfgs"
-        assert bl.seed == crf.seed == 7
+        seen = {}
+        for module, name in ((baselines, "boundary_logistic"), (crf, "crf")):
+            def spy(fun, x0, config, *args, _minimize=module.minimize, _name=name, **kwargs):
+                seen[_name] = config.optimizer
+                return _minimize(fun, x0, config, *args, **kwargs)
+            monkeypatch.setattr(module, "minimize", spy)
+        cfg = make_config(corpus_file, tmp_path, optimizer="lbfgs", max_iterations=3)
+        corpus = C.parse_corpus(corpus_file)
+        for name in ("boundary_logistic", "crf"):
+            R.train_segmenter(name, corpus, template=cfg.template(), config=cfg.train_config(seed=7))
+        assert seen == {"boundary_logistic": "gradient_descent", "crf": "lbfgs"}
 
 
 class TestGridEnumeration:
