@@ -30,7 +30,8 @@ class CapacityError(MorphsplitError):
 
 
 class TrainingError(MorphsplitError):
-    """Optimization produced a non-finite objective or gradient."""
+    """Optimization produced a non-finite objective or gradient, or CRF
+    weights left the range the scaled forward-backward computes accurately."""
 
 
 class AdapterError(MorphsplitError):

@@ -18,6 +18,7 @@ from .features import (
     FeatureTable,
     FeatureTemplate,
     LinearFeatureModel,
+    design_matrix,
     extract_features,
 )
 from .optim import TrainConfig, minimize
@@ -130,13 +131,6 @@ def _gap_names(left, right) -> list[str]:
     return ["BIAS", *(f"L:{f}" for f in sorted(left)), *(f"R:{f}" for f in sorted(right))]
 
 
-def _design_matrix(ids: np.ndarray, ptr: np.ndarray, n_features: int) -> sparse.csr_matrix:
-    """One 0/1 row per gap over the feature columns, from CSR ids."""
-    return sparse.csr_matrix(
-        (np.ones(len(ids)), ids, ptr), shape=(len(ptr) - 1, n_features)
-    )
-
-
 class BoundaryLogisticModel(LinearFeatureModel):
     """Per-gap logistic regression; a boundary opens iff p > 0.5 strictly."""
 
@@ -146,7 +140,7 @@ class BoundaryLogisticModel(LinearFeatureModel):
     def _design(self, surfaces) -> sparse.csr_matrix:
         """The design matrix of every gap of every surface, in order."""
         ids, ptr, _ = self.feature_ids(surfaces)
-        return _design_matrix(ids, ptr, len(self.weights))
+        return design_matrix(ids, ptr, len(self.weights))
 
     def segment_batch(self, surfaces) -> list[SegmentedWord]:
         """Segment every surface from one sparse product over all gaps."""
@@ -223,7 +217,7 @@ def train_boundary_logistic(
     model, words, (ids, ptr, _) = BoundaryLogisticModel.untrained(
         corpus, template, config.l2_lambda, table
     )
-    X = _design_matrix(ids, ptr, len(model.weights))
+    X = design_matrix(ids, ptr, len(model.weights))
     if not X.shape[0]:
         return model
     targets = _targets(words)

@@ -10,11 +10,24 @@ therefore L*ln(6). Scores decompose as
 
 and training minimizes the mean negative log-likelihood plus an L2 term,
 with gradients from forward-backward marginals.
+
+Every pass runs over one batch of words sorted by descending grapheme
+length (:class:`_Batch`), so the words still active at a position are a
+prefix of the batch: no length groups, no padding. Emission scores are one
+sparse product ``X @ W_e`` and the emission gradient ``X.T @ (marginals -
+gold)``. Forward-backward runs in probability space, scaled (Rabiner 1989;
+Sutton & McCallum 2012): each position is one (k, 6) @ (6, 6) product and
+a row normalization, log Z is the sum of the log normalizers plus the
+shifts taken out before exponentiating, and the transition gradient is one
+(6, k) @ (k, 6) product per position. Transition scores spanning more than
+``MAX_TRANSITION_SPREAD`` nats raise :class:`TrainingError`. Viterbi stays
+max-plus in log space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -25,13 +38,14 @@ from ..corpus import (
     decode_labels,
     interior_labels,
 )
-from ..errors import DomainError
+from ..errors import DomainError, TrainingError
 # extract_features stays importable here: perfbench/tracing.py rebinds it
 from .features import (  # noqa: F401
     FeatureTable,
     FeatureTemplate,
     LinearFeatureModel,
     concat_ranges,
+    design_matrix,
     extract_features,
 )
 from .optim import OptimResult, TrainConfig, minimize
@@ -39,6 +53,13 @@ from .optim import OptimResult, TrainConfig, minimize
 N_LABELS = 6
 START_ID = int(Label.START)
 END_ID = int(Label.END)
+# The widest span of transition scores, in nats, that the scaled
+# forward-backward accepts. exp underflows below about -745 nats, and a term
+# lost there can weigh up to exp(2 * spread - 745) in a marginal or log Z:
+# a three-grapheme word built to hit this is exact at a spread of 350 and
+# off by 9e-15 at 360 and 7e-4 at 373. Trained models sit far below the
+# bound (|w| about 7 even without the L2 penalty).
+MAX_TRANSITION_SPREAD = 300.0
 
 
 @dataclass
@@ -69,172 +90,177 @@ class CrfModel(LinearFeatureModel):
 
     def emissions(self, surface: str) -> np.ndarray:
         """Per-position label scores, shape (L, 6)."""
-        (group,) = _build_groups(*self.feature_ids([surface]))
-        return _group_emissions(group, self.emission)[0]
+        return _Batch(*self.feature_ids([surface]), len(self.feature_index)).X @ self.emission
 
     def segment_batch(self, surfaces) -> list[SegmentedWord]:
-        """Viterbi-decode every surface, one vectorized pass per word length."""
+        """Viterbi-decode every surface in one pass over a length-sorted batch."""
         surfaces = list(surfaces)
         if not all(surfaces):
             raise DomainError("surface must be non-empty")
-        out: list[SegmentedWord | None] = [None] * len(surfaces)
-        W, T = self.emission, self.transition
-        for grp in _build_groups(*self.feature_ids(surfaces)):
-            paths, _ = _viterbi(_group_emissions(grp, W), T)
-            for k, path in zip(grp.members, paths.tolist()):
-                out[k] = decode_labels(
-                    surfaces[k], (Label.START, *map(Label, path), Label.END)
-                )
+        if not surfaces:
+            return []
+        batch = _Batch(*self.feature_ids(surfaces), len(self.feature_index))
+        labels, _ = _viterbi(batch.X @ self.emission, self.transition, batch)
+        by_word = np.empty_like(labels)
+        by_word[batch.rows] = labels
+        by_word = by_word.tolist()
+        out = []
+        for surface, start, length in zip(surfaces, batch.starts.tolist(), batch.lengths.tolist()):
+            path = by_word[start:start + length]
+            out.append(decode_labels(surface, (Label.START, *map(Label, path), Label.END)))
         return out
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    """log(sum(exp(a))) along ``axis``, shifted by the maximum.
+class _Batch:
+    """Words sorted by descending grapheme length, their positions laid out
+    position by position.
 
-    The same arithmetic as ``scipy.special.logsumexp`` on finite input
-    (maxima left out of the sum, log1p of the rest over their count), so
-    results match it bit for bit, without its per-call overhead.
-    """
-    a_max = a.max(axis=axis, keepdims=True)
-    is_max = a == a_max
-    m = is_max.sum(axis=axis, keepdims=True, dtype=a.dtype)
-    s = np.where(is_max, 0.0, np.exp(a - a_max)).sum(axis=axis, keepdims=True)
-    return (np.log1p(s / m) + np.log(m) + a_max).squeeze(axis)
-
-
-class _Group:
-    """Words of one length, feature occurrences flattened for scatter ops.
-
-    ``members`` are the words' positions in the input; occurrence i is
-    feature ``f_flat[i]`` at flat position ``row_flat[i]`` (word * length +
-    position). ``gold_T`` counts the gold transitions, bookends included.
+    Batch row r is the r-th longest input word, ties in input order. Layout
+    rows ``offsets[i]:offsets[i + 1]`` hold position i of every word longer
+    than i, in batch order; those words are a prefix of the batch,
+    ``active[i]`` of them, so layout row ``offsets[i] + r`` follows
+    ``offsets[i - 1] + r`` and no row is padding. ``rows`` maps each layout
+    row to its word-major position (words in input order, each word's
+    positions in order, words starting at ``starts`` and ``lengths`` long),
+    and ``last`` each batch row to the layout row of its last position.
+    ``X`` holds the 0/1 feature occurrences of the layout rows, ``gold``
+    their gold labels and ``gold_T`` the gold transition counts, bookends
+    included.
     """
 
-    __slots__ = ("length", "n", "members", "f_flat", "row_flat", "gold", "gold_T")
+    __slots__ = ("lengths", "starts", "active", "offsets", "rows", "last", "X",
+                 "gold", "gold_T")
 
-    def __init__(self, length, members, f_flat, row_flat, gold):
-        self.length = length
-        self.n = len(members)
-        self.members = members
-        self.f_flat = f_flat
-        self.row_flat = row_flat
-        self.gold = gold
-        self.gold_T = None
+    def __init__(self, ids, ptr, lengths, n_features, gold=None):
+        self.lengths = lengths
+        self.starts = np.cumsum(lengths) - lengths
+        order = np.argsort(-lengths, kind="stable")
+        self.active = (len(lengths) - np.cumsum(np.bincount(lengths))[:-1]).tolist()
+        self.offsets = [0, *np.cumsum(self.active).tolist()]
+        self.rows = np.concatenate(
+            [self.starts[order[:k]] + i for i, k in enumerate(self.active)]
+            or [np.zeros(0, dtype=np.int64)]
+        )
+        offsets = np.asarray(self.offsets)
+        self.last = offsets[lengths[order] - 1] + np.arange(len(lengths))
+        counts = np.diff(ptr)[self.rows]
+        self.X = design_matrix(
+            ids[concat_ranges(ptr[self.rows], counts)],
+            np.concatenate([[0], np.cumsum(counts)]),
+            n_features,
+        )
+        self.gold = self.gold_T = None
         if gold is not None:
-            src = np.hstack([np.full((self.n, 1), START_ID), gold])
-            dst = np.hstack([gold, np.full((self.n, 1), END_ID)])
+            self.gold = gold[self.rows]
+            # each position's transition in, then each word's transition out
+            prev = np.roll(gold, 1)
+            prev[self.starts] = START_ID
+            src = np.concatenate([prev, gold[self.starts + lengths - 1]])
+            dst = np.concatenate([gold, np.full(len(lengths), END_ID)])
             self.gold_T = np.bincount(
-                (src * N_LABELS + dst).ravel(), minlength=N_LABELS * N_LABELS
+                src * N_LABELS + dst, minlength=N_LABELS * N_LABELS
             ).reshape(N_LABELS, N_LABELS)
 
 
-def _build_groups(ids, ptr, lengths, gold=None) -> list[_Group]:
-    """Group words by grapheme length, in increasing length.
-
-    ``ids``/``ptr`` hold each position's feature ids, CSR over the words'
-    positions in order, and ``lengths`` each word's grapheme count; ``gold``
-    gives each word's interior gold labels.
-    """
-    counts = np.diff(ptr)
-    word_start = np.cumsum(lengths) - lengths
-    groups = []
-    for length in np.unique(lengths).tolist():
-        members = np.flatnonzero(lengths == length)
-        pos = (word_start[members][:, None] + np.arange(length)).ravel()
-        c = counts[pos]
-        groups.append(
-            _Group(
-                length=length,
-                members=members.tolist(),
-                f_flat=ids[concat_ranges(ptr[pos], c)],
-                row_flat=np.repeat(np.arange(len(pos), dtype=np.int64), c),
-                gold=None if gold is None else np.asarray(
-                    [gold[k] for k in members.tolist()], dtype=np.int64
-                ).reshape(len(members), length),
-            )
+def _check_range(T: np.ndarray) -> None:
+    """Refuse transition scores the scaled recursion cannot carry accurately."""
+    spread = float(T.max() - T.min())
+    if not spread <= MAX_TRANSITION_SPREAD:
+        raise TrainingError(
+            f"CRF transition scores span {spread:.6g} nats, more than the "
+            f"{MAX_TRANSITION_SPREAD:g} the scaled forward-backward is accurate for"
         )
-    return groups
 
 
-def _group_emissions(group: _Group, W_e: np.ndarray) -> np.ndarray:
-    """Summed emission weights, shape (n, length, 6)."""
-    rows = group.n * group.length
-    occurrences = W_e.T[:, group.f_flat]
-    E = np.empty((rows, N_LABELS))
-    for lab in range(N_LABELS):
-        E[:, lab] = np.bincount(group.row_flat, weights=occurrences[lab], minlength=rows)
-    return E.reshape(group.n, group.length, N_LABELS)
+def _forward(E: np.ndarray, T: np.ndarray, batch: _Batch):
+    """Scaled forward pass over the layout rows of ``batch``.
+
+    Returns (A, P, alpha, c, c_end, m): the transition potentials
+    ``exp(T - max T)``, the emission potentials ``exp(E - m)`` with ``m``
+    each row's largest score, each row's forward vector normalized to sum 1,
+    its normalizer, and each batch row's exit normalizer. A word's log Z is
+    the sum of its rows' log normalizers and ``m``, its log exit normalizer,
+    and ``max T`` once per transition.
+    """
+    _check_range(T)
+    A = np.exp(T - T.max())
+    m = E.max(axis=1)
+    P = np.exp(E - m[:, None])
+    alpha = np.empty_like(P)
+    c = np.empty(len(P))
+    off = batch.offsets
+    for i, k in enumerate(batch.active):
+        s, e = off[i], off[i + 1]
+        a = alpha[s:e]
+        if i == 0:
+            np.multiply(P[s:e], A[START_ID], out=a)
+        else:
+            np.matmul(alpha[off[i - 1]:off[i - 1] + k], A, out=a)
+            a *= P[s:e]
+        a.sum(axis=1, out=c[s:e])
+        a /= c[s:e, None]
+    c_end = alpha[batch.last] @ A[:, END_ID]
+    return A, P, alpha, c, c_end, m
 
 
-def _objective_and_grad(weights, groups, n_words, n_features, l2):
-    W_e = weights[: n_features * N_LABELS].reshape(n_features, N_LABELS)
-    T = weights[n_features * N_LABELS:].reshape(N_LABELS, N_LABELS)
-    raw_grad = np.zeros_like(weights)
-    gW = raw_grad[: n_features * N_LABELS].reshape(n_features, N_LABELS)
-    gT = raw_grad[n_features * N_LABELS:].reshape(N_LABELS, N_LABELS)
-    total_nll = 0.0
+def _objective_and_grad(weights, batch: _Batch, n_features, l2):
+    n_e = n_features * N_LABELS
+    W_e = weights[:n_e].reshape(n_features, N_LABELS)
+    T = weights[n_e:].reshape(N_LABELS, N_LABELS)
+    E = batch.X @ W_e
+    A, P, alpha, c, c_end, m = _forward(E, T, batch)
 
-    for grp in groups:
-        L, n = grp.length, grp.n
-        E = _group_emissions(grp, W_e)
-        alphas = np.empty((L, n, N_LABELS))
-        a = T[START_ID][None, :] + E[:, 0]
-        alphas[0] = a
-        for i in range(1, L):
-            a = _logsumexp(a[:, :, None] + T[None, :, :], axis=1) + E[:, i]
-            alphas[i] = a
-        log_z = _logsumexp(a + T[:, END_ID][None, :], axis=1)
+    # backward vectors scaled by the forward normalizers, so that
+    # alpha * beta is each row's label marginal
+    off = batch.offsets
+    beta = np.empty_like(alpha)
+    beta[batch.last] = A[:, END_ID] / c_end[:, None]
+    P /= c[:, None]
+    xi = np.zeros((N_LABELS, N_LABELS))
+    for i in range(len(batch.active) - 1, 0, -1):
+        u = P[off[i]:off[i + 1]] * beta[off[i]:off[i + 1]]
+        prev = slice(off[i - 1], off[i - 1] + batch.active[i])
+        np.matmul(u, A.T, out=beta[prev])
+        xi += alpha[prev].T @ u
+    marg = alpha * beta
 
-        betas = np.empty((L, n, N_LABELS))
-        b = np.broadcast_to(T[:, END_ID], (n, N_LABELS)).copy()
-        betas[L - 1] = b
-        for i in range(L - 2, -1, -1):
-            b = _logsumexp(T[None, :, :] + (E[:, i + 1] + b)[:, None, :], axis=2)
-            betas[i] = b
+    rows = np.arange(len(E))
+    # sum(gold_T) is the number of transitions, each shifted by max T
+    nll = (
+        np.log(c).sum() + np.log(c_end).sum()
+        + (m - E[rows, batch.gold]).sum()
+        + (batch.gold_T * (T.max() - T)).sum()
+    )
 
-        marg = np.exp(alphas + betas - log_z[None, :, None])
+    raw_grad = np.empty_like(weights)
+    gT = raw_grad[n_e:].reshape(N_LABELS, N_LABELS)
+    np.multiply(A, xi, out=gT)
+    gT[START_ID] += marg[:off[1]].sum(axis=0)
+    gT[:, END_ID] += marg[batch.last].sum(axis=0)
+    gT -= batch.gold_T
+    # expected minus observed emissions, summed onto feature rows
+    marg[rows, batch.gold] -= 1.0
+    raw_grad[:n_e] = (batch.X.T @ marg).ravel()
 
-        rows = np.arange(n)
-        gold_em = E[rows[:, None], np.arange(L)[None, :], grp.gold].sum(axis=1)
-        gold_tr = T[START_ID, grp.gold[:, 0]] + T[grp.gold[:, -1], END_ID]
-        if L > 1:
-            gold_tr = gold_tr + T[grp.gold[:, :-1], grp.gold[:, 1:]].sum(axis=1)
-        total_nll += float(log_z.sum() - gold_em.sum() - gold_tr.sum())
-
-        # expected minus observed emissions, scattered onto feature rows
-        diff = marg.transpose(1, 0, 2).reshape(n * L, N_LABELS).copy()
-        diff[np.arange(n * L), grp.gold.ravel()] -= 1.0
-        occurrences = diff.T[:, grp.row_flat]
-        for lab in range(N_LABELS):
-            gW[:, lab] += np.bincount(grp.f_flat, weights=occurrences[lab], minlength=n_features)
-
-        gT[START_ID] += marg[0].sum(axis=0)
-        gT[:, END_ID] += marg[L - 1].sum(axis=0)
-        for i in range(L - 1):
-            xi = np.exp(
-                alphas[i][:, :, None]
-                + T[None, :, :]
-                + (E[:, i + 1] + betas[i + 1])[:, None, :]
-                - log_z[:, None, None]
-            )
-            gT += xi.sum(axis=0)
-        gT -= grp.gold_T
-
-    objective = total_nll / n_words + 0.5 * l2 * float(weights @ weights)
+    n_words = len(batch.lengths)
+    objective = float(nll) / n_words + 0.5 * l2 * float(weights @ weights)
     grad = raw_grad / n_words + l2 * weights
     return objective, grad
 
 
 def crf_log_partition(model: CrfModel, surface: str) -> float:
-    """Log of the sum over all 6^L interior label sequences of exp(score)."""
-    E = model.emissions(surface)
-    if len(E) == 0:
+    """Log of the sum over all 6^L interior label sequences of exp(score).
+
+    Raises :class:`TrainingError` when the transition scores span more than
+    ``MAX_TRANSITION_SPREAD`` nats.
+    """
+    batch = _Batch(*model.feature_ids([surface]), len(model.feature_index))
+    if not batch.active:
         raise DomainError("surface must be non-empty")
+    E = batch.X @ model.emission
     T = model.transition
-    a = T[START_ID] + E[0]
-    for i in range(1, len(E)):
-        a = _logsumexp(a[:, None] + T, axis=0) + E[i]
-    return float(_logsumexp(a + T[:, END_ID], axis=0))
+    _, _, _, c, c_end, m = _forward(E, T, batch)
+    return float(np.log(c).sum() + np.log(c_end[0]) + m.sum() + (len(E) + 1) * T.max())
 
 
 def crf_gradient(model: CrfModel, batch) -> tuple[float, np.ndarray]:
@@ -242,36 +268,47 @@ def crf_gradient(model: CrfModel, batch) -> tuple[float, np.ndarray]:
 
     Expectations come from forward-backward marginals; duplicating the batch
     changes neither value (mean formulation). Features of batch words that
-    are missing from the model's index contribute nothing.
+    are missing from the model's index contribute nothing. Raises
+    :class:`TrainingError` when the transition scores span more than
+    ``MAX_TRANSITION_SPREAD`` nats.
     """
     words = list(batch)
     if not words:
         raise DomainError("crf_gradient needs a non-empty batch")
-    groups = _build_groups(*model.feature_ids(w.surface for w in words), _gold(words))
-    return _objective_and_grad(
-        model.weights, groups, len(words), len(model.feature_index), model.l2_lambda
-    )
+    n_features = len(model.feature_index)
+    prepared = _Batch(*model.feature_ids(w.surface for w in words), n_features, _gold(words))
+    return _objective_and_grad(model.weights, prepared, n_features, model.l2_lambda)
 
 
-def _viterbi(E: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Best interior label paths (n, L) and their scores (n,) for emissions (n, L, 6).
+def _viterbi(E: np.ndarray, T: np.ndarray, batch: _Batch) -> tuple[np.ndarray, np.ndarray]:
+    """Best interior labels of every layout row of ``batch`` and each batch
+    row's best path score, max-plus in log space.
 
     Every argmax takes the first maximum, so ties go to the lower label index.
     """
-    n, length, _ = E.shape
-    v = T[START_ID][None, :] + E[:, 0]
-    back = np.empty((length, n, N_LABELS), dtype=np.int64)
-    for i in range(1, length):
-        scores = v[:, :, None] + T[None, :, :]
-        back[i] = np.argmax(scores, axis=1)
-        v = scores.max(axis=1) + E[:, i]
-    v = v + T[:, END_ID][None, :]
-    rows = np.arange(n)
-    paths = np.empty((n, length), dtype=np.int64)
-    paths[:, -1] = np.argmax(v, axis=1)
-    for i in range(length - 1, 0, -1):
-        paths[:, i - 1] = back[i][rows, paths[:, i]]
-    return paths, v[rows, paths[:, -1]]
+    off, active = batch.offsets, batch.active
+    n = len(batch.lengths)
+    # the words still active after each position; rows ends[i]: of v end at i
+    ends = [*active[1:], 0]
+    best = np.empty(n, dtype=np.int64)
+    score = np.empty(n)
+    back = np.empty(E.shape, dtype=np.int64)
+    v = T[START_ID] + E[:off[1]]
+    for i, k in enumerate(ends):
+        done = v[k:] + T[:, END_ID]
+        best[k:len(v)] = np.argmax(done, axis=1)
+        score[k:len(v)] = done[np.arange(len(done)), best[k:len(v)]]
+        if k:
+            scores = v[:k, :, None] + T[None, :, :]
+            back[off[i + 1]:off[i + 2]] = np.argmax(scores, axis=1)
+            v = scores.max(axis=1) + E[off[i + 1]:off[i + 2]]
+    labels = np.empty(len(E), dtype=np.int64)
+    path = best.copy()
+    for i in range(len(active) - 1, -1, -1):
+        k = ends[i]
+        path[:k] = back[off[i + 1] + np.arange(k), path[:k]]
+        labels[off[i]:off[i + 1]] = path[:active[i]]
+    return labels, score
 
 
 def viterbi_raw(model: CrfModel, surface: str) -> tuple[tuple[Label, ...], float]:
@@ -280,16 +317,16 @@ def viterbi_raw(model: CrfModel, surface: str) -> tuple[tuple[Label, ...], float
     Ties break toward the lower label index at every argmax, so the
     all-zero-weight model returns the lexicographically first sequence.
     """
-    E = model.emissions(surface)
-    if len(E) == 0:
+    batch = _Batch(*model.feature_ids([surface]), len(model.feature_index))
+    if not batch.active:
         raise DomainError("surface must be non-empty")
-    paths, scores = _viterbi(E[None], model.transition)
-    return tuple(Label(p) for p in paths[0].tolist()), float(scores[0])
+    labels, scores = _viterbi(batch.X @ model.emission, model.transition, batch)
+    return tuple(Label(p) for p in labels.tolist()), float(scores[0])
 
 
-def _gold(words) -> list[list[Label]]:
-    """Each word's interior gold labels."""
-    return [interior_labels(w) for w in words]
+def _gold(words) -> np.ndarray:
+    """The interior gold labels of every position of ``words``, word by word."""
+    return np.fromiter(chain.from_iterable(interior_labels(w) for w in words), dtype=np.int64)
 
 
 def train_crf(
@@ -308,11 +345,11 @@ def train_crf(
     """
     config = config if config is not None else TrainConfig()
     model, words, features = CrfModel.untrained(corpus, template, config.l2_lambda, table)
-    groups = _build_groups(*features, _gold(words))
     n_features = len(model.feature_index)
+    batch = _Batch(*features, n_features, _gold(words))
 
     def fun(w):
-        return _objective_and_grad(w, groups, len(words), n_features, config.l2_lambda)
+        return _objective_and_grad(w, batch, n_features, config.l2_lambda)
 
     result: OptimResult = minimize(fun, model.weights, config, context="crf training")
     return replace(model, weights=result.x, history=result.history)

@@ -16,6 +16,7 @@ from itertools import chain
 from typing import ClassVar, Iterable
 
 import numpy as np
+from scipy import sparse
 
 from ..corpus import SegmentedWord, graphemes
 from ..errors import ContractError, DomainError, ValidationError
@@ -96,6 +97,13 @@ def _ptr(counts: np.ndarray) -> np.ndarray:
     ptr = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=ptr[1:])
     return ptr
+
+
+def design_matrix(ids: np.ndarray, ptr: np.ndarray, n_features: int) -> sparse.csr_matrix:
+    """One 0/1 row per CSR row of feature ``ids`` over the feature columns."""
+    return sparse.csr_matrix(
+        (np.ones(len(ids)), ids, ptr), shape=(len(ptr) - 1, n_features)
+    )
 
 
 class FeatureTable:

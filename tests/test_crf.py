@@ -29,6 +29,7 @@ from morphsplit.models import (
     train_crf,
     viterbi_raw,
 )
+from morphsplit.models.crf import MAX_TRANSITION_SPREAD
 
 SMALL = FeatureTemplate(max_ngram=2, window=1)
 
@@ -112,19 +113,6 @@ class TestLogPartition:
         model = make_model(["abc"], seed=4)
         value = crf_log_partition(model, "zzzz")
         assert np.isfinite(value)
-
-
-class TestLogSumExp:
-    @pytest.mark.parametrize("axis", [0, 1, 2])
-    @pytest.mark.parametrize("whole", [False, True])
-    def test_matches_scipy_bit_for_bit(self, axis, whole):
-        from morphsplit.models.crf import _logsumexp
-
-        rng = np.random.default_rng(axis)
-        a = 3.0 * rng.standard_normal((7, 6, 6))
-        if whole:
-            a = np.round(a)  # repeated maxima
-        np.testing.assert_array_equal(_logsumexp(a, axis=axis), logsumexp(a, axis=axis))
 
 
 class TestViterbi:
@@ -294,6 +282,214 @@ class TestGradient:
         model = make_model(["ab"])
         with pytest.raises(DomainError):
             crf_gradient(model, [])
+
+
+def reference_emissions(model, surface):
+    """Per-position label scores summed from ``extract_features`` directly."""
+    return np.array([
+        model.emission[feature_ids_at(model, surface, pos)].sum(axis=0)
+        for pos in range(len(graphemes(surface)))
+    ])
+
+
+def feature_ids_at(model, surface, pos):
+    from morphsplit.models.features import extract_features
+
+    return [model.feature_index[f] for f in extract_features(surface, pos, model.template)
+            if f in model.feature_index]
+
+
+def gold_ids(word):
+    return [int(l) for l in encode_labels(word).labels[1:-1]]
+
+
+def gold_score(model, word):
+    E = reference_emissions(model, word.surface)
+    T = model.transition
+    y = gold_ids(word)
+    score = T[Label.START, y[0]] + T[y[-1], Label.END] + sum(E[i, y[i]] for i in range(len(y)))
+    return float(score + sum(T[y[i], y[i + 1]] for i in range(len(y) - 1)))
+
+
+def log_space_log_z(model, surface):
+    """log Z from a forward pass in log space, one position at a time."""
+    E = reference_emissions(model, surface)
+    T = model.transition
+    a = T[Label.START] + E[0]
+    for i in range(1, len(E)):
+        a = logsumexp(a[:, None] + T, axis=0) + E[i]
+    return float(logsumexp(a + T[:, Label.END]))
+
+
+def enumerated_objective(model, words):
+    """Mean NLL plus penalty, and its gradient, by enumerating all 6^L
+    interior label paths of every word."""
+    n_f = len(model.feature_index)
+    T = model.transition
+    grad = np.zeros_like(model.weights)
+    gW = grad[: n_f * 6].reshape(n_f, 6)
+    gT = grad[n_f * 6:].reshape(6, 6)
+    start, end = int(Label.START), int(Label.END)
+    total = 0.0
+    for word in words:
+        E = reference_emissions(model, word.surface)
+        L = len(E)
+        paths = np.array(list(itertools.product(range(6), repeat=L)), dtype=np.int64)
+        s = T[start, paths[:, 0]] + T[paths[:, -1], end]
+        for i in range(L):
+            s = s + E[i, paths[:, i]]
+        for i in range(L - 1):
+            s = s + T[paths[:, i], paths[:, i + 1]]
+        log_z = float(logsumexp(s))
+        p = np.exp(s - log_z)
+        y = gold_ids(word)
+        total += log_z - gold_score(model, word)
+        for i in range(L):
+            marg = np.bincount(paths[:, i], weights=p, minlength=6)
+            marg[y[i]] -= 1.0
+            gW[feature_ids_at(model, word.surface, i)] += marg
+        np.add.at(gT, (start, paths[:, 0]), p)
+        np.add.at(gT, (paths[:, -1], end), p)
+        gT[start, y[0]] -= 1.0
+        gT[y[-1], end] -= 1.0
+        for i in range(L - 1):
+            np.add.at(gT, (paths[:, i], paths[:, i + 1]), p)
+            gT[y[i], y[i + 1]] -= 1.0
+    w, l2 = model.weights, model.l2_lambda
+    return total / len(words) + 0.5 * l2 * float(w @ w), grad / len(words) + l2 * w
+
+
+def with_weights(model, weights):
+    return CrfModel(
+        feature_index=model.feature_index,
+        weights=weights,
+        template=model.template,
+        l2_lambda=model.l2_lambda,
+    )
+
+
+# every length 1-6, in no length order, lengths repeated: words end at
+# every position of the length-sorted batch
+MIXED = [
+    SegmentedWord("abc", ("ab", "c")),
+    SegmentedWord("a", ("a",)),
+    SegmentedWord("cabdab", ("cab", "d", "ab")),
+    SegmentedWord("ba", ("b", "a")),
+    SegmentedWord("dcba", ("dcba",)),
+    SegmentedWord("b", ("b",)),
+    SegmentedWord("abcda", ("a", "bcd", "a")),
+    SegmentedWord("cd", ("cd",)),
+    SegmentedWord("bad", ("b", "ad")),
+]
+LONG = SegmentedWord("abcdabcdbcadab", ("abcd", "abc", "dbca", "dab"))
+
+
+class TestMixedLengthBatch:
+    @pytest.mark.parametrize("l2", [0.0, 0.3])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_objective_and_gradient_match_enumeration(self, seed, l2):
+        model = make_model([w.surface for w in MIXED], seed=seed, l2=l2)
+        obj, grad = crf_gradient(model, MIXED)
+        want_obj, want_grad = enumerated_objective(model, MIXED)
+        assert obj == pytest.approx(want_obj, rel=1e-10)
+        np.testing.assert_allclose(grad, want_grad, rtol=1e-9, atol=1e-12)
+
+    def test_gradient_matches_finite_differences(self):
+        model = make_model([w.surface for w in MIXED], seed=3, l2=0.1)
+        _, grad = crf_gradient(model, MIXED)
+        numeric = np.empty_like(grad)
+        h = 1e-5
+        for c in range(len(grad)):
+            wp, wm = model.weights.copy(), model.weights.copy()
+            wp[c] += h
+            wm[c] -= h
+            numeric[c] = (crf_gradient(with_weights(model, wp), MIXED)[0]
+                          - crf_gradient(with_weights(model, wm), MIXED)[0]) / (2 * h)
+        scale = np.maximum(1.0, np.maximum(np.abs(grad), np.abs(numeric)))
+        assert float(np.max(np.abs(grad - numeric) / scale)) <= 1e-4
+
+    def test_long_word_matches_log_space_forward(self):
+        words = [*MIXED, LONG]
+        model = make_model([w.surface for w in words], seed=4)
+        assert len(graphemes(LONG.surface)) >= 12
+        log_z = log_space_log_z(model, LONG.surface)
+        assert crf_log_partition(model, LONG.surface) == pytest.approx(log_z, rel=1e-12)
+        assert crf_gradient(model, [LONG])[0] == pytest.approx(
+            log_z - gold_score(model, LONG), rel=1e-10
+        )
+        want = np.mean([log_space_log_z(model, w.surface) - gold_score(model, w) for w in words])
+        assert crf_gradient(model, words)[0] == pytest.approx(want, rel=1e-10)
+
+
+def adversarial_model(spread, depth):
+    """A model of one-grapheme features on which probability space fails
+    first: every transition into or out of label 2 scores +spread/2, all
+    others -spread/2, and label 2 scores -depth at every position, so the
+    paths through label 2 outweigh the rest by exp(2 * spread - depth)."""
+    template = FeatureTemplate(max_ngram=1, window=0, include_position_flags=False)
+    index = {"ng+0:a": 0, "ng+0:b": 1, "ng+0:c": 2}
+    W = np.zeros((3, 6))
+    W[:, 2] = -depth
+    T = np.full((6, 6), -spread / 2)
+    T[:, 2] = T[2, :] = spread / 2
+    return CrfModel(index, np.concatenate([W.ravel(), T.ravel()]), template, 0.0)
+
+
+class TestRangeGuard:
+    def test_large_emission_scores_match_enumeration(self):
+        words = MIXED[:-1]
+        model = make_model([w.surface for w in words], seed=5)
+        n_e = len(model.feature_index) * 6
+        model.weights[:n_e] *= 1000.0
+        obj, grad = crf_gradient(model, words)
+        want_obj, want_grad = enumerated_objective(model, words)
+        assert obj == pytest.approx(want_obj, rel=1e-10)
+        np.testing.assert_allclose(grad, want_grad, rtol=1e-9, atol=1e-9)
+        for w in words:
+            assert crf_log_partition(model, w.surface) == pytest.approx(
+                log_space_log_z(model, w.surface), rel=1e-12
+            )
+
+    @pytest.mark.parametrize("spread", [100.0, 250.0, MAX_TRANSITION_SPREAD])
+    @pytest.mark.parametrize("depth", [600.0, 745.0, 800.0])
+    def test_spread_up_to_the_bound_stays_exact(self, spread, depth):
+        model = adversarial_model(spread, depth)
+        word = SegmentedWord("abc", ("a", "bc"))
+        assert crf_log_partition(model, "abc") == pytest.approx(
+            log_space_log_z(model, "abc"), rel=1e-12
+        )
+        obj, grad = crf_gradient(model, [word])
+        want_obj, want_grad = enumerated_objective(model, [word])
+        assert obj == pytest.approx(want_obj, rel=1e-12)
+        np.testing.assert_allclose(grad, want_grad, rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("spread", [MAX_TRANSITION_SPREAD + 1.0, 373.0, 650.0, 2000.0])
+    def test_wider_spread_raises_naming_it(self, spread):
+        model = adversarial_model(spread, 745.0)
+        match = f"span {spread:.6g} nats"
+        with pytest.raises(TrainingError, match=match):
+            crf_gradient(model, [SegmentedWord("abc", ("a", "bc"))])
+        with pytest.raises(TrainingError, match=match):
+            crf_log_partition(model, "abc")
+
+    def test_scaled_random_transitions_raise(self):
+        """Transition weights x300 lose accuracy silently without the guard."""
+        model = make_model([w.surface for w in MIXED], seed=6)
+        model.weights[-36:] *= 300.0
+        with pytest.raises(TrainingError, match="transition scores span"):
+            crf_gradient(model, MIXED)
+
+    def test_training_raises_past_the_bound(self, monkeypatch):
+        import morphsplit.models.crf as crf
+
+        def start_far_out(fun, x0, config, context):
+            x = x0.copy()
+            x[-36:] = np.linspace(-200.0, 200.0, 36)
+            return minimize(fun, x, config, context)
+
+        monkeypatch.setattr(crf, "minimize", start_far_out)
+        with pytest.raises(TrainingError, match="span 400 nats"):
+            train_crf(toy_corpus())
 
 
 def toy_corpus():
