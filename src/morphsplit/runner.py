@@ -37,6 +37,7 @@ import csv
 import hashlib
 import json
 import logging
+import os
 import shutil
 import time
 import traceback
@@ -44,12 +45,11 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
-from contextvars import ContextVar
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from tempfile import TemporaryDirectory
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .corpus import Corpus, corpus_stats, parse_corpus
 from .errors import ConfigError, DomainError, LedgerError, SingularityError, ValidationError
@@ -224,16 +224,20 @@ class CellStatus(Record):
 
 @dataclass
 class RunLedger(Record):
-    """Run manifest: the config, its hash, per-cell completion state, and
-    the sha256 of each corpus file's bytes when the run last read it.
-    ``root``, the run directory, is not stored: it is ``config.output_dir``
-    for a new run and the ledger file's directory for a loaded one."""
+    """Run manifest: the config, its hash, per-cell completion state, the
+    sha256 of each corpus file's bytes when the run last read it, and the
+    directory the run was launched from, which a relative corpus path is
+    read from (the working directory, for a ledger that did not record
+    it). ``root``, the run directory, is not stored: it is
+    ``config.output_dir`` for a new run and the ledger file's directory for
+    a loaded one."""
 
     config: RunConfig
     config_hash: str
     cells: dict[str, CellStatus] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
     corpus_sha256: dict[str, str] = field(default_factory=dict)
+    launch_dir: str = ""
 
     def __post_init__(self) -> None:
         self.root = Path(self.config.output_dir)
@@ -284,12 +288,13 @@ class RunLedger(Record):
         corpus file, only the artifacts.
         """
         for path, recorded in sorted(self.corpus_sha256.items()):
-            if not Path(path).is_file():
+            file = Path(self.launch_dir, path)
+            if not file.is_file():
                 continue
-            actual = _sha256(path)
+            actual = _sha256(file)
             if actual != recorded:
                 raise LedgerError(
-                    f"corpus {path} changed since the run read it (sha256 "
+                    f"corpus {file} changed since the run read it (sha256 "
                     f"{actual[:12]} vs {recorded[:12]}); its cells were scored "
                     "on the old content, so start a new run"
                 )
@@ -299,21 +304,34 @@ def _sha256(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-# Feature tables of the corpora being computed, by language, each built on
-# the first cell with a feature model. `_execute` sets a fresh dict for an
-# inline run and a pool worker's initializer one for the worker's life;
-# outside both (compute_cell called on its own) there is none and each model
-# featurizes its own words. It is not an argument because compute_cell keeps
-# the (corpus, cell, config) signature that perfbench/tracing.py wraps.
-_FEATURE_TABLES: ContextVar[dict[str, FeatureTable] | None] = ContextVar(
-    "feature_tables", default=None
-)
+@dataclass
+class _Job:
+    """What the cells one process computes share: the run's corpora by
+    language, its config, and each corpus's feature table, built on the
+    first cell with a feature model."""
+
+    corpora: dict[str, Corpus]
+    config: RunConfig
+    tables: dict[str, FeatureTable] = field(default_factory=dict)
+
+
+# This process's job: set by `_execute` around an inline run and by a pool
+# worker's initializer for the worker's life. Outside both (compute_cell
+# called on its own) there is none, and each model featurizes its own words.
+# Tables are not an argument because compute_cell keeps the (corpus, cell,
+# config) signature that perfbench/tracing.py wraps.
+_JOB: _Job | None = None
+
+
+def _set_job(job: _Job | None) -> None:
+    global _JOB
+    _JOB = job
 
 
 def _feature_table(corpus: Corpus, template: FeatureTemplate) -> FeatureTable | None:
-    tables = _FEATURE_TABLES.get()
-    if tables is None:
+    if _JOB is None:
         return None
+    tables = _JOB.tables
     table = tables.get(corpus.language_tag)
     if table is None:
         table = tables[corpus.language_tag] = FeatureTable((w.surface for w in corpus), template)
@@ -435,20 +453,13 @@ def compute_cell(corpus: Corpus, cell: GridCell, config: RunConfig) -> dict:
     }
 
 
-# Set in each pool worker, once, by its initializer: the run's corpora and
-# its config.
-_POOL_JOB: tuple[list[tuple[str, Corpus]], RunConfig] | None = None
+_Outcome = tuple[str, str, dict | str, float]
+
+# A work unit: (language, generation, the ids of the cells of one carve).
+_Unit = tuple[str, str, list[str]]
 
 
-def _start_pool_worker(corpora: list[tuple[str, Corpus]], config: RunConfig) -> None:
-    global _POOL_JOB
-    _POOL_JOB = (corpora, config)
-    _FEATURE_TABLES.set({})
-
-
-def _run_cell(
-    corpus: Corpus, cell: GridCell, config: RunConfig
-) -> tuple[str, str, dict | str, float]:
+def _run_cell(corpus: Corpus, cell: GridCell, config: RunConfig) -> _Outcome:
     """Compute one cell; returns (key, status, payload-or-error, s)."""
     key = f"{corpus.language_tag}/{cell.cell_id}"
     start = time.perf_counter()
@@ -459,27 +470,27 @@ def _run_cell(
     return key, "done", payload, time.perf_counter() - start
 
 
-def _run_cells(
-    config: RunConfig, corpora: Sequence[tuple[str, Corpus]], keys: Collection[str]
-) -> Iterator[tuple[str, str, dict | str, float]]:
-    """Build the cells with these keys, each carve they need once, and
-    compute them one by one."""
-    by_language = {corpus.language_tag: corpus for _, corpus in corpora}
-    for _, language, cell in enumerate_cells(config, corpora, only=keys):
-        yield _run_cell(by_language[language], cell, config)
+def _run_unit(unit: _Unit) -> Iterator[_Outcome]:
+    """Build one unit's carve and the residual splits of its cells, then
+    compute the cells one by one, with this process's job."""
+    language, generation, cell_ids = unit
+    corpus, config = _JOB.corpora[language], _JOB.config
+    for cell in build_grid(corpus, config.plan(generation), config.residual_strategies, cell_ids):
+        yield _run_cell(corpus, cell, config)
 
 
-def _run_pooled(keys: list[str]) -> list[tuple[str, str, dict | str, float]]:
-    """Process-pool entry point for the pending cells of one work unit."""
-    corpora, config = _POOL_JOB
-    return list(_run_cells(config, corpora, keys))
+def _run_pooled(unit: _Unit) -> list[_Outcome]:
+    """Process-pool entry point for one work unit."""
+    return list(_run_unit(unit))
 
 
-def _load_corpora(config: RunConfig) -> list[tuple[str, Corpus]]:
+def _load_corpora(config: RunConfig, launch_dir: str = "") -> list[tuple[str, Corpus]]:
+    """(config path, corpus) of each corpus, a relative path read from
+    ``launch_dir``."""
     out = []
     seen = set()
     for path in config.corpus_paths:
-        corpus = parse_corpus(path)
+        corpus = parse_corpus(Path(launch_dir, path))
         if corpus.language_tag in seen:
             raise ConfigError(
                 f"duplicate language tag {corpus.language_tag!r} across corpora"
@@ -490,37 +501,26 @@ def _load_corpora(config: RunConfig) -> list[tuple[str, Corpus]]:
 
 
 def enumerate_cells(
-    config: RunConfig,
-    corpora: Sequence[tuple[str, Corpus]],
-    only: Collection[str] | None = None,
-) -> list[tuple[str, str, GridCell]]:
-    """All (corpus path, language, cell) work units in deterministic order.
-
-    Each carve is made once and shared by the residual strategies. With
-    ``only``, a collection of ``language/cell_id`` keys, just those cells
-    are built, and just the carves they need.
-    """
-    tasks = []
-    for path, corpus in corpora:
-        language = corpus.language_tag
-        ids = None if only is None else {
-            key[len(language) + 1:] for key in only if key.startswith(f"{language}/")
-        }
-        for generation in config.new_test_generations:
-            plan = config.plan(generation)
-            for cell in build_grid(corpus, plan, config.residual_strategies, ids):
-                tasks.append((path, language, cell))
-    return tasks
-
-
-def _grid_units(
     config: RunConfig, corpora: Sequence[tuple[str, Corpus]]
-) -> list[list[str]]:
-    """Every cell key, grouped by work unit: one unit per (language,
-    generation, fraction, sample), i.e. per carve. Keys follow from the
+) -> list[tuple[str, str, GridCell]]:
+    """All (corpus path, language, cell) of the grid in deterministic order.
+
+    Each carve is made once and shared by the residual strategies.
+    """
+    return [
+        (path, corpus.language_tag, cell)
+        for path, corpus in corpora
+        for generation in config.new_test_generations
+        for cell in build_grid(corpus, config.plan(generation), config.residual_strategies)
+    ]
+
+
+def _grid_units(config: RunConfig, corpora: Sequence[tuple[str, Corpus]]) -> list[_Unit]:
+    """Every work unit of the grid in order, one per (language,
+    generation, fraction, sample), i.e. per carve. Cell ids follow from the
     coordinates alone; nothing is split here."""
     return [
-        [f"{corpus.language_tag}/{cell_id}" for _, _, cell_id in cells]
+        (corpus.language_tag, generation, [cell_id for _, _, cell_id in cells])
         for _, corpus in corpora
         for generation in config.new_test_generations
         for _, _, cells in grid_units(config.plan(generation), config.residual_strategies)
@@ -528,33 +528,30 @@ def _grid_units(
 
 
 def _execute(
-    config: RunConfig,
-    corpora: Sequence[tuple[str, Corpus]],
-    units: Sequence[list[str]],
-) -> Iterator[tuple[str, str, dict | str, float]]:
-    """Build and run the given cells, grouped by work unit, inline or in a
-    process pool; yields (key, status, payload, s) as each cell (inline) or
-    unit (pool) finishes.
+    config: RunConfig, corpora: Sequence[tuple[str, Corpus]], units: Sequence[_Unit]
+) -> Iterator[_Outcome]:
+    """Run the given work units, inline or in a process pool; yields (key,
+    status, payload, s) as each cell (inline) or unit (pool) finishes.
 
-    A pool worker builds the splits of the units it is handed, so no unit's
-    carve or residual splits are made anywhere else. Cells are scored on
-    the corpora this run parsed; a pool hands them to each worker once,
-    when the worker starts. Each process builds a corpus's feature table at
-    most once, on its first cell with a feature model.
+    Either way a unit's splits are built right before its cells, in the
+    process that computes them, so no grid is built up front. A pool hands
+    the corpora this run parsed to each worker once, when the worker
+    starts. Each process builds a corpus's feature table at most once, on
+    its first cell with a feature model.
     """
+    job = _Job({corpus.language_tag: corpus for _, corpus in corpora}, config)
     if config.parallelism > 1 and len(units) > 1:
         with ProcessPoolExecutor(
-            max_workers=config.parallelism,
-            initializer=_start_pool_worker,
-            initargs=(list(corpora), config),
+            max_workers=config.parallelism, initializer=_set_job, initargs=(job,)
         ) as pool:
             yield from (outcome for done in pool.map(_run_pooled, units) for outcome in done)
         return
-    token = _FEATURE_TABLES.set({})
+    _set_job(job)
     try:
-        yield from _run_cells(config, corpora, {key for unit in units for key in unit})
+        for unit in units:
+            yield from _run_unit(unit)
     finally:
-        _FEATURE_TABLES.reset(token)
+        _set_job(None)
 
 
 def _f(v: float) -> str:
@@ -832,16 +829,23 @@ def _complete(ledger: RunLedger) -> RunLedger:
     """
     config = ledger.config
     ledger.check_corpora()
-    corpora = _load_corpora(config)
-    ledger.corpus_sha256 = {path: _sha256(path) for path in config.corpus_paths}
+    corpora = _load_corpora(config, ledger.launch_dir)
+    ledger.corpus_sha256 = {
+        path: _sha256(Path(ledger.launch_dir, path)) for path in config.corpus_paths
+    }
 
     units = _grid_units(config, corpora)
-    done = _read_done(ledger, (key for unit in units for key in unit))
+    done = _read_done(ledger, (f"{lang}/{c}" for lang, _, ids in units for c in ids))
     for key in done.keys() - set(ledger.done_keys()):
         ledger.cells[key] = CellStatus("done")
-    todo = [pending for unit in units if (pending := [key for key in unit if key not in done])]
+    pending = [
+        (lang, gen, [c for c in ids if f"{lang}/{c}" not in done]) for lang, gen, ids in units
+    ]
+    todo = [unit for unit in pending if unit[2]]
     if todo:
-        ledger.cells.update((key, CellStatus("pending")) for unit in todo for key in unit)
+        ledger.cells.update(
+            (f"{lang}/{c}", CellStatus("pending")) for lang, _, ids in todo for c in ids
+        )
         ledger.save()
         try:
             for key, status, payload, seconds in _execute(config, corpora, todo):
@@ -866,7 +870,7 @@ def run_experiment(config: RunConfig) -> RunLedger:
     this run's), then write the reports and the ledger. Cell failures are
     recorded and skipped; the caller decides exit status from them.
     """
-    ledger = RunLedger(config=config, config_hash=config.config_hash())
+    ledger = RunLedger(config=config, config_hash=config.config_hash(), launch_dir=os.getcwd())
     shutil.rmtree(ledger.root / "cells", ignore_errors=True)
     return _complete(ledger)
 

@@ -13,6 +13,7 @@ from typing import get_type_hints
 
 import pytest
 
+from morphsplit import cli
 from morphsplit import corpus as C
 from morphsplit import runner as R
 from morphsplit import splitter as S
@@ -730,6 +731,72 @@ class TestRunLifecycle:
         assert ledger.failed_keys() == [] and len(ledger.done_keys()) == 4
         assert csv_bytes(out) == csv_bytes(smoke_run[0].output_dir)
         assert list(out.rglob("*.tmp")) == []
+
+    def test_run_interrupted_in_its_second_carve_keeps_the_first_units_cells(
+        self, corpus_file, smoke_run, tmp_path, monkeypatch
+    ):
+        # two work units, one carve per generation, of two cells each: a
+        # unit's splits are built right before its cells, so the first unit's
+        # cells are written before the second carve is begun
+        carves = []
+        for name in ("random_split", "adversarial_split"):
+            def split(corpus, ratio, seed, *args, _split=getattr(S, name), **kwargs):
+                if kwargs.get("stage") == "new_test_carving":
+                    carves.append(seed)
+                    if len(carves) == 2:
+                        raise KeyboardInterrupt
+                return _split(corpus, ratio, seed, *args, **kwargs)
+            monkeypatch.setattr(S, name, split)
+        cfg = make_config(corpus_file, tmp_path / "run")
+        with pytest.raises(KeyboardInterrupt):
+            R.run_experiment(cfg)
+        out = Path(cfg.output_dir)
+        first = ["nt30pct-random-s00-adversarial-r0", "nt30pct-random-s00-random-r0"]
+        assert sorted(p.stem for p in (out / "cells").rglob("*.json")) == first
+
+        computed = []
+
+        def compute(corpus, cell, config, _compute=R.compute_cell):
+            computed.append(cell.cell_id)
+            return _compute(corpus, cell, config)
+
+        monkeypatch.setattr(R, "compute_cell", compute)
+        ledger = R.resume(out)
+        assert sorted(computed) == [
+            "nt30pct-adversarial-s00-adversarial-r0", "nt30pct-adversarial-s00-random-r0",
+        ]
+        assert ledger.failed_keys() == [] and len(ledger.done_keys()) == 4
+        assert csv_bytes(out) == csv_bytes(smoke_run[0].output_dir)
+
+    def test_relative_corpus_path_is_read_from_the_launch_directory(
+        self, smoke_run, tmp_path, monkeypatch
+    ):
+        launch, elsewhere, out = tmp_path / "launch", tmp_path / "elsewhere", tmp_path / "run"
+        launch.mkdir()
+        elsewhere.mkdir()
+        write_synthetic(launch / "synA.tsv")
+        monkeypatch.chdir(launch)
+        assert cli.main([
+            "experiment", "--corpus", "synA.tsv", "--output-dir", str(out),
+            "--fractions", "3/10", "--samples-per-fraction", "1", "--residual-splits", "1",
+            "--models", "longest_match,unigram_viterbi", "--seeds-per-model", "1",
+            "--budget", "200",
+        ]) == 0
+        before = csv_bytes(out)
+        assert before == csv_bytes(smoke_run[0].output_dir)
+
+        monkeypatch.chdir(elsewhere)
+        with monkeypatch.context() as patched:
+            patched.setattr(R, "compute_cell", no_compute)
+            assert R.resume(out).failed_keys() == []
+        assert csv_bytes(out) == before
+        # a file of the same name in the working directory is not the corpus
+        write_synthetic(elsewhere / "synA.tsv", seed=4)
+        next((out / "cells").rglob("*.json")).unlink()
+        ledger = R.resume(out)
+        assert ledger.failed_keys() == [] and len(ledger.done_keys()) == 4
+        assert ledger.launch_dir == str(launch)
+        assert csv_bytes(out) == before
 
     @pytest.mark.parametrize("fault", [None, KeyboardInterrupt, RuntimeError])
     def test_new_run_keeps_no_artifact_of_an_earlier_run(
