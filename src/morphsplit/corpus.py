@@ -3,7 +3,8 @@
 A corpus is an ordered collection of distinct word types. Each word carries a
 surface form and an ordered tuple of morphemes whose concatenation reproduces
 the surface exactly. All positions and lengths are counted in extended
-grapheme clusters rather than code points, so combining marks never split.
+grapheme clusters of the surface rather than code points, so combining marks
+never split; a word's ``cuts`` are the one place those positions are decided.
 
 The label codec maps a segmentation to one label per grapheme plus START/END
 bookends. Singleton morphemes are labelled S; longer morphemes are labelled
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import lru_cache
 from pathlib import Path
@@ -70,30 +71,64 @@ def graphemes(text: str) -> tuple[str, ...]:
 class SegmentedWord:
     """A surface form with its ordered morpheme segmentation.
 
-    The morphemes must be non-empty and concatenate to the surface; violating
-    either raises :class:`ValidationError` naming the offending word.
+    The morphemes must be non-empty, concatenate to the surface, and meet
+    only at grapheme edges of the surface; violating any of these raises
+    :class:`ValidationError` naming the offending word.
+
+    ``cuts`` holds the grapheme offset of every morpheme edge, from 0 to the
+    surface's grapheme count, computed once from the surface's graphemes.
     """
 
     surface: str
     morphemes: tuple[str, ...]
+    cuts: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "morphemes", tuple(self.morphemes))
-        if not self.surface:
+        surface, morphemes = self.surface, tuple(self.morphemes)
+        if not surface:
             raise ValidationError("empty surface form")
-        if not self.morphemes:
-            raise ValidationError(f"word {self.surface!r} has no morphemes")
-        for m in self.morphemes:
+        if not morphemes:
+            raise ValidationError(f"word {surface!r} has no morphemes")
+        cuts = [0]
+        for m in morphemes:
             if not m:
-                raise ValidationError(f"word {self.surface!r} has an empty morpheme")
-        if "".join(self.morphemes) != self.surface:
+                raise ValidationError(f"word {surface!r} has an empty morpheme")
+            cuts.append(cuts[-1] + len(m))
+        if "".join(morphemes) != surface:
             raise ValidationError(
-                f"morphemes {list(self.morphemes)!r} do not concatenate "
-                f"to surface {self.surface!r}"
+                f"morphemes {list(morphemes)!r} do not concatenate "
+                f"to surface {surface!r}"
             )
+        g = graphemes(surface)
+        if len(g) < len(surface):
+            # some cluster spans several code points: map code point offsets
+            # to grapheme offsets, which exist only at cluster edges
+            offset = {k: i for i, k in enumerate(itertools.accumulate(map(len, g), initial=0))}
+            try:
+                cuts = [offset[k] for k in cuts]
+            except KeyError as exc:
+                raise ValidationError(
+                    f"word {surface!r} has a morpheme edge inside a grapheme "
+                    f"cluster, at code point {exc.args[0]}"
+                ) from None
+        # frozen: the fields are filled in directly
+        self.__dict__.update(morphemes=morphemes, cuts=tuple(cuts))
+
+    @classmethod
+    def from_cuts(cls, surface: str, g: Sequence[str], cuts: Sequence[int]) -> SegmentedWord:
+        """The word ``surface``, whose graphemes are ``g``, cut at ``cuts``,
+        which must rise strictly from 0 to ``len(g)``. Nothing is counted
+        again: ``g`` is trusted to be ``graphemes(surface)``."""
+        cuts = tuple(cuts)
+        morphemes = tuple(["".join(g[a:b]) for a, b in zip(cuts, cuts[1:]) if a < b])
+        if not surface or cuts[:1] != (0,) or cuts[-1] != len(g) or len(morphemes) < len(cuts) - 1:
+            raise ValidationError(f"cuts {list(cuts)!r} do not segment surface {surface!r}")
+        word = object.__new__(cls)
+        word.__dict__.update(surface=surface, morphemes=morphemes, cuts=cuts)
+        return word
 
     def grapheme_count(self) -> int:
-        return len(graphemes(self.surface))
+        return self.cuts[-1]
 
 
 @dataclass(frozen=True)
@@ -144,13 +179,12 @@ def interior_labels(word: SegmentedWord) -> list[Label]:
     B, M * (k - 2), E.
     """
     labels = []
-    for m in word.morphemes:
-        k = len(graphemes(m))
-        if k == 1:
+    for a, b in zip(word.cuts, word.cuts[1:]):
+        if b - a == 1:
             labels.append(Label.S)
         else:
             labels.append(Label.B)
-            labels.extend([Label.M] * (k - 2))
+            labels.extend([Label.M] * (b - a - 2))
             labels.append(Label.E)
     return labels
 
@@ -202,9 +236,7 @@ def decode_labels(surface: str, labels: Sequence[Label] | LabelSequence) -> Segm
             starts.append(i)
         elif interior[i - 1] in (Label.E, Label.S):
             starts.append(i)
-    bounds = starts + [len(g)]
-    morphemes = tuple("".join(g[a:b]) for a, b in zip(bounds, bounds[1:]))
-    return SegmentedWord(surface=surface, morphemes=morphemes)
+    return SegmentedWord.from_cuts(surface, g, starts + [len(g)])
 
 
 @dataclass(frozen=True)
@@ -244,7 +276,8 @@ def parse_corpus(path: str | Path, language_tag: str | None = None) -> Corpus:
     meaning. Duplicate surfaces keep the first occurrence and a warning with
     the dropped count is logged. Malformed lines raise :class:`ParseError`
     naming the file and line; a segmentation that does not concatenate to its
-    surface raises :class:`ValidationError` the same way.
+    surface, or puts a morpheme edge inside a grapheme cluster, raises
+    :class:`ValidationError` the same way.
     """
     path = Path(path)
     tag = language_tag if language_tag is not None else path.stem
@@ -265,7 +298,7 @@ def parse_corpus(path: str | Path, language_tag: str | None = None) -> Corpus:
                 )
             surface, morph_field = parts
             pieces = morph_field.split(" ")
-            if any(p == "" for p in pieces):
+            if "" in pieces:
                 raise ParseError(f"{path}:{lineno}: empty morpheme in {morph_field!r}")
             try:
                 word = SegmentedWord(surface=surface, morphemes=tuple(pieces))
@@ -310,7 +343,7 @@ def corpus_stats(corpus: Corpus | Sequence[SegmentedWord]) -> CorpusStats:
     n = len(words)
     per_word = [len(w.morphemes) for w in words]
     mean_counts = sum(per_word) / n
-    mean_len = sum(len(graphemes(w.surface)) / len(w.morphemes) for w in words) / n
+    mean_len = sum(w.cuts[-1] / len(w.morphemes) for w in words) / n
     mean_types = sum(len(set(w.morphemes)) for w in words) / n
     return CorpusStats(
         word_type_count=n,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import SegmentedWord, graphemes
+from .corpus import SegmentedWord
 from .errors import ContractError, DomainError, ValidationError
 from .records import Record, as_fraction
 
@@ -58,23 +58,12 @@ class ScoreTriple:
 
 def boundary_positions(word: SegmentedWord) -> frozenset[int]:
     """Internal split positions in graphemes, excluding 0 and the length."""
-    acc = 0
-    out = []
-    for m in word.morphemes[:-1]:
-        acc += len(graphemes(m))
-        out.append(acc)
-    return frozenset(out)
+    return frozenset(word.cuts[1:-1])
 
 
 def morpheme_spans(word: SegmentedWord) -> frozenset[tuple[int, int, str]]:
     """(start, end, string) spans in grapheme coordinates."""
-    acc = 0
-    out = []
-    for m in word.morphemes:
-        length = len(graphemes(m))
-        out.append((acc, acc + length, m))
-        acc += length
-    return frozenset(out)
+    return frozenset(zip(word.cuts, word.cuts[1:], word.morphemes))
 
 
 def _prf(tp: int, fp: int, fn: int) -> ScoreTriple:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import sparse
 
-from ..corpus import Corpus, Label, SegmentedWord, graphemes, interior_labels
+from ..corpus import Corpus, SegmentedWord, graphemes
 from ..errors import DomainError
 from .features import (
     FeatureTable,
@@ -54,14 +54,10 @@ class UnigramModel:
                 cur = best[j]
                 if score > cur[0] or (score == cur[0] and count < cur[1]):
                     best[j] = (score, count, i)
-        cuts = []
-        j = n
-        while j > 0:
-            i = best[j][2]
-            cuts.append((i, j))
-            j = i
-        cuts.reverse()
-        return SegmentedWord(surface, tuple("".join(g[i:j]) for i, j in cuts))
+        cuts = [n]
+        while cuts[-1] > 0:
+            cuts.append(best[cuts[-1]][2])
+        return SegmentedWord.from_cuts(surface, g, cuts[::-1])
 
     def to_dict(self) -> dict:
         return {
@@ -156,20 +152,14 @@ class BoundaryLogisticModel(LinearFeatureModel):
             n = len(g)
             cuts = [0] + [gap for gap in range(1, n) if split[k + gap - 1]] + [n]
             k += n - 1
-            out.append(
-                SegmentedWord(surface, tuple("".join(g[i:j]) for i, j in zip(cuts, cuts[1:])))
-            )
+            out.append(SegmentedWord.from_cuts(surface, g, cuts))
         return out
 
 
 def _targets(words) -> np.ndarray:
     """0/1 boundary targets of every gap of ``words``, in order: gap g is a
-    boundary iff grapheme g opens a morpheme (its label is B or S)."""
-    return np.asarray([
-        1.0 if lab in (Label.B, Label.S) else 0.0
-        for w in words
-        for lab in interior_labels(w)[1:]
-    ])
+    boundary iff g is one of the word's cuts."""
+    return np.asarray([float(g in w.cuts) for w in words for g in range(1, w.cuts[-1])])
 
 
 def logistic_objective(
@@ -245,18 +235,16 @@ class LongestMatchModel:
         n = len(g)
         if n == 0:
             raise DomainError("surface must be non-empty")
-        out = []
-        i = 0
-        while i < n:
+        cuts = [0]
+        while (i := cuts[-1]) < n:
             # single grapheme is the fallback whether or not it is in the lexicon
             taken = 1
             for length in range(min(self._max_len, n - i), 1, -1):
                 if "".join(g[i:i + length]) in self.lexicon:
                     taken = length
                     break
-            out.append("".join(g[i:i + taken]))
-            i += taken
-        return SegmentedWord(surface, tuple(out))
+            cuts.append(i + taken)
+        return SegmentedWord.from_cuts(surface, g, cuts)
 
     def to_dict(self) -> dict:
         return {"kind": "longest_match", "lexicon": sorted(self.lexicon)}

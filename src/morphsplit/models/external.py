@@ -9,8 +9,9 @@ contain one ``!``-annotated sequence per line, in input order.
 The adapter invokes ``command`` (shell-split) with three positional
 arguments: train file, input file, output file. A seed, when given, is
 passed in the MORPHSPLIT_SEED environment variable. Any protocol breach
-(nonzero exit, malformed or misaligned output, concatenation mismatch)
-raises :class:`AdapterError` carrying captured diagnostics.
+(nonzero exit, malformed or misaligned output, a segmentation that does not
+concatenate to its input or splits a grapheme cluster) raises
+:class:`AdapterError` carrying captured diagnostics.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from ..corpus import Corpus, SegmentedWord, graphemes
-from ..errors import AdapterError, DomainError
+from ..errors import AdapterError, DomainError, ValidationError
 
 _BOUNDARY = "!"
 
@@ -45,8 +46,9 @@ def encode_input_line(surface: str) -> str:
 
 
 def encode_train_line(word: SegmentedWord) -> str:
-    pieces = [" ".join(_checked_graphemes(m)) for m in word.morphemes]
-    return f"{encode_input_line(word.surface)}\t{f' {_BOUNDARY} '.join(pieces)}"
+    g = _checked_graphemes(word.surface)
+    pieces = [" ".join(g[a:b]) for a, b in zip(word.cuts, word.cuts[1:])]
+    return f"{' '.join(g)}\t{f' {_BOUNDARY} '.join(pieces)}"
 
 
 def write_train_file(words: Iterable[SegmentedWord], path: str | Path) -> None:
@@ -58,26 +60,18 @@ def write_train_file(words: Iterable[SegmentedWord], path: str | Path) -> None:
 def parse_output_line(line: str, surface: str) -> SegmentedWord:
     """Parse one ``!``-annotated output line against its input surface."""
     tokens = line.rstrip("\n").split(" ")
-    morphemes: list[str] = []
-    current: list[str] = []
+    if "" in tokens:
+        raise AdapterError(f"blank token in output line {line!r}")
+    morphemes = [""]
     for tok in tokens:
         if tok == _BOUNDARY:
-            if not current:
-                raise AdapterError(f"empty morpheme in output line {line!r}")
-            morphemes.append("".join(current))
-            current = []
-        elif tok == "":
-            raise AdapterError(f"blank token in output line {line!r}")
+            morphemes.append("")
         else:
-            current.append(tok)
-    if not current:
-        raise AdapterError(f"output line {line!r} ends on a boundary marker")
-    morphemes.append("".join(current))
-    if "".join(morphemes) != surface:
-        raise AdapterError(
-            f"output {line!r} does not concatenate to input {surface!r}"
-        )
-    return SegmentedWord(surface, tuple(morphemes))
+            morphemes[-1] += tok
+    try:
+        return SegmentedWord(surface, tuple(morphemes))
+    except ValidationError as exc:
+        raise AdapterError(f"output line {line!r} for input {surface!r}: {exc}") from None
 
 
 def external_segment(

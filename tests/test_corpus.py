@@ -1,6 +1,7 @@
 """Corpus parsing, the label codec and repair rule, stats, synthetic data."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -61,6 +62,25 @@ class TestParsing:
     def test_concat_mismatch_names_word(self, tmp_path):
         path = make_corpus(tmp_path, "walked\twalk ing\n")
         with pytest.raises(ValidationError, match="walked"):
+            C.parse_corpus(path)
+
+    # a morpheme edge inside a grapheme cluster: e and a combining acute, and
+    # a flag (two regional indicators) followed by a lone regional indicator,
+    # where the morphemes' own grapheme counts add up to the surface's
+    SPLIT_CLUSTERS = [
+        ("e\u0301x", ("e", "\u0301x")),
+        ("\U0001F1FA\U0001F1F8\U0001F1EB", ("\U0001F1FA", "\U0001F1F8\U0001F1EB")),
+    ]
+
+    @pytest.mark.parametrize("surface, morphemes", SPLIT_CLUSTERS)
+    def test_edge_inside_a_cluster_names_word(self, surface, morphemes):
+        with pytest.raises(ValidationError, match=re.escape(f"word {surface!r}")):
+            C.SegmentedWord(surface, morphemes)
+
+    @pytest.mark.parametrize("surface, morphemes", SPLIT_CLUSTERS)
+    def test_edge_inside_a_cluster_names_file_and_line(self, tmp_path, surface, morphemes):
+        path = make_corpus(tmp_path, f"ab\ta b\n{surface}\t{' '.join(morphemes)}\n")
+        with pytest.raises(ValidationError, match=re.escape(f"{path}:2: word {surface!r}")):
             C.parse_corpus(path)
 
     def test_write_then_parse_is_identity(self, tmp_path):

@@ -1,5 +1,6 @@
 """External segmenter adapter: wire format and subprocess protocol."""
 
+import re
 import textwrap
 
 import pytest
@@ -97,6 +98,12 @@ class TestWireFormat:
     def test_parse_rejects_concat_mismatch(self):
         with pytest.raises(AdapterError):
             parse_output_line("w a l k ! e d", "walker")
+
+    def test_parse_rejects_an_edge_inside_a_grapheme(self):
+        # the tool splits the combining acute from its base letter
+        line = "e ! \u0301 x"
+        with pytest.raises(AdapterError, match=re.escape(repr(line))):
+            parse_output_line(line, "e\u0301x")
 
     @pytest.mark.parametrize(
         "line", ["! a b", "a b !", "a ! ! b", "a  b", ""]

@@ -1,11 +1,17 @@
 """End-to-end experiment orchestration: determinism, resume, reports."""
 
+import contextlib
 import csv
 import hashlib
 import json
 import logging
+import os
 import re
 import shutil
+import signal
+import subprocess
+import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -830,6 +836,71 @@ class TestRunLifecycle:
         assert len(computed) == pending
         assert ledger.failed_keys() == [] and len(ledger.done_keys()) == 4
         assert csv_bytes(out) == csv_bytes(smoke_run[0].output_dir)
+
+    def test_killed_pooled_run_resumes_only_its_missing_cells(self, corpus_file, tmp_path):
+        # four units of two cells on two workers; each adapter call sleeps and
+        # logs itself, so the third and fourth units are still running when
+        # the first unit's artifacts appear
+        log = tmp_path / "calls.log"
+        adapter = tmp_path / "adapter.py"
+        adapter.write_text(
+            "import sys, time\n"
+            "train, inp, out = sys.argv[1:4]\n"
+            "time.sleep(0.1)\n"
+            f"open({str(log)!r}, 'a').write('call\\n')\n"
+            "with open(inp) as f, open(out, 'w') as g:\n"
+            "    for line in f:\n"
+            "        toks = line.split()\n"
+            "        g.write(' '.join(toks[:-1] + ['!'] * (len(toks) > 1) + toks[-1:]) + '\\n')\n"
+        )
+        models = ("longest_match", f"external:{sys.executable} {adapter}")
+        clean = make_config(corpus_file, tmp_path / "clean", samples_per_fraction=2, models=models)
+        R.run_experiment(clean)
+        out = tmp_path / "run"
+        argv = [
+            sys.executable, "-m", "morphsplit", "experiment", "--corpus", corpus_file,
+            "--output-dir", str(out), "--fractions", "3/10", "--samples-per-fraction", "2",
+            "--residual-splits", "1", "--models", ",".join(models), "--seeds-per-model", "1",
+            "--budget", "200", "--parallelism", "2",
+        ]
+        env = {**os.environ, "PYTHONPATH": str(Path(R.__file__).parents[1])}
+        stderr = tmp_path / "stderr.log"
+        with stderr.open("wb") as err:
+            proc = subprocess.Popen(
+                argv, env=env, start_new_session=True, stdout=subprocess.DEVNULL, stderr=err
+            )
+        try:
+            deadline = time.monotonic() + 120
+            while not list(out.glob("cells/**/*.json")):
+                assert proc.poll() is None, stderr.read_text()
+                assert time.monotonic() < deadline, "no artifact within 120 s"
+                time.sleep(0.01)
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        finally:
+            # the pool workers share the CLI's process group
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+
+        kept = {p: p.stat().st_ino for p in out.glob("cells/**/*.json")}
+        missing = sorted(
+            p.relative_to(tmp_path / "clean")
+            for p in (tmp_path / "clean").glob("cells/**/*.json")
+            if out / p.relative_to(tmp_path / "clean") not in kept
+        )
+        assert 0 < len(kept) < 8 and len(kept) + len(missing) == 8
+        # a kill between an artifact's temporary write and its rename
+        (out / missing[0]).parent.mkdir(parents=True, exist_ok=True)
+        (out / f"{missing[0]}.tmp").write_text("{")
+        log.write_text("")
+        ledger = R.resume(out)
+        assert ledger.failed_keys() == [] and len(ledger.done_keys()) == 8
+        # two adapter calls (eval and new-test side) per recomputed cell
+        assert len(log.read_text().splitlines()) == 2 * len(missing)
+        assert {p: p.stat().st_ino for p in kept} == kept
+        assert list(out.rglob("*.tmp")) == []
+        assert csv_bytes(out) == csv_bytes(clean.output_dir)
 
     def test_broken_pool_fails_the_pending_cells(self, corpus_file, tmp_path):
         # the adapter kills the pool worker that runs it
