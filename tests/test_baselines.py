@@ -109,6 +109,42 @@ class TestUnigram:
         assert clone.segment("walked") == model.segment("walked")
 
 
+#: Hand-made unigram models whose scores sum exactly, so that ties are exact:
+#: (log_probs, log_oov, surface, expected morphemes).
+TIE_CASES = {
+    # a|b|c, ab|c and abc all score -3: the fewest morphemes win
+    "fewer_morphemes": ({"a": -1.0, "b": -1.0, "c": -1.0, "ab": -2.0, "abc": -3.0},
+                        -10.0, "abc", ("abc",)),
+    # a|bcd, ab|cd and abc|d all score -4 in two morphemes: the earliest
+    # split point wins, which keeps the longest final morpheme
+    "earliest_split": ({"a": -2.0, "ab": -2.0, "abc": -2.0, "bcd": -2.0, "cd": -2.0, "d": -2.0},
+                       -10.0, "abcd", ("a", "bcd")),
+    # an out-of-vocabulary piece longer than every morpheme beats splitting it
+    "long_oov_piece": ({"ab": 0.5, "c": -1.0}, -3.0, "abqrstu", ("ab", "qrstu")),
+    # ... and ties with the whole word, which has fewer morphemes
+    "long_oov_tie_fewer": ({"ab": 0.0}, -3.0, "abqrstu", ("abqrstu",)),
+    # two long OOV final pieces tie in score and count: the earliest wins
+    "long_oov_tie_earliest": ({"a": 1.0, "ab": 1.0}, -3.0, "abqrst", ("a", "bqrst")),
+    # graphemes of two code points: e\u0301|ta and e\u0301t|a tie in score
+    # and count, and the first cut is one grapheme in
+    "clusters": ({"e\u0301": -1.0, "ta": -1.0, "e\u0301t": -1.0, "a": -1.0},
+                 -10.0, "e\u0301ta", ("e\u0301", "ta")),
+    # a long OOV piece of three two-code-point graphemes
+    "cluster_in_long_oov": ({"x": 0.5}, -4.0, "xo\u0301o\u0308u\u0301",
+                            ("x", "o\u0301o\u0308u\u0301")),
+}
+
+
+class TestUnigramTieBreaks:
+    @pytest.mark.parametrize("case", sorted(TIE_CASES))
+    def test_pinned_tie_breaks(self, case):
+        log_probs, log_oov, surface, expected = TIE_CASES[case]
+        model = UnigramModel(log_probs=log_probs, log_oov=log_oov, smoothing=0.1)
+        word = model.segment(surface)
+        assert word.morphemes == expected
+        assert word == SegmentedWord(surface, expected)
+
+
 class TestGapFeatures:
     def test_tags_left_right_and_bias(self):
         feats = gap_features("axb", 1, SMALL)
