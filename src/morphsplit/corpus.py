@@ -19,9 +19,9 @@ import itertools
 import logging
 from dataclasses import dataclass, field
 from enum import IntEnum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import regex
@@ -237,6 +237,204 @@ def decode_labels(surface: str, labels: Sequence[Label] | LabelSequence) -> Segm
         elif interior[i - 1] in (Label.E, Label.S):
             starts.append(i)
     return SegmentedWord.from_cuts(surface, g, starts + [len(g)])
+
+
+def label_starts(labels: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """:func:`decode_labels`'s rule over many words at once: whether a
+    morpheme starts at each position, for the interior ``labels`` of words
+    of ``lengths`` graphemes laid end to end."""
+    single = np.isin(labels, (Label.S, Label.START, Label.END))
+    starts = single | (labels == Label.B)
+    starts[1:] |= single[:-1] | (labels[:-1] == Label.E)
+    starts[np.cumsum(lengths) - lengths] = True
+    return starts
+
+
+def start_labels(starts: np.ndarray) -> np.ndarray:
+    """:func:`interior_labels` over many words at once, from whether a
+    morpheme starts at each of their positions, laid end to end."""
+    ends = np.append(starts[1:], True)
+    return np.where(
+        starts, np.where(ends, Label.S, Label.B), np.where(ends, Label.E, Label.M)
+    ).astype(np.int64)
+
+
+def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``[s, s + n)`` for every (s, n) pair, concatenated."""
+    starts = np.asarray(starts, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    shift = starts - np.cumsum(lengths) + lengths
+    return np.repeat(shift, lengths) + np.arange(lengths.sum(), dtype=np.int64)
+
+
+def cut_slots(words: Sequence[SegmentedWord]) -> np.ndarray:
+    """The cuts of ``words`` laid end to end: slot ``o + k`` is set iff
+    ``k`` is a cut of the word that starts at offset ``o``, and each word
+    ends where the next starts, in one shared slot."""
+    cuts = [w.cuts for w in words]
+    lengths = np.fromiter((c[-1] for c in cuts), dtype=np.int64, count=len(cuts))
+    flat = np.fromiter(itertools.chain.from_iterable(cuts), dtype=np.int64)
+    offsets = np.cumsum(lengths) - lengths
+    slots = np.zeros(int(lengths.sum()) + 1, dtype=bool)
+    slots[flat + np.repeat(offsets, [len(c) for c in cuts])] = True
+    return slots
+
+
+class Segmentations(Sequence[SegmentedWord]):
+    """The segmentations of a list of surfaces, as one integer of cut bits.
+
+    The words are laid end to end as in :func:`cut_slots`, and bit ``i``
+    of ``bits`` is slot ``i``. Models write their predictions this way and
+    scoring reads them so; a :class:`SegmentedWord` is built only when an
+    item is read. It compares equal to any sequence of the same words.
+    """
+
+    __slots__ = ("surfaces", "lengths", "bits")
+
+    def __init__(self, surfaces: Sequence[str], lengths: Sequence[int], bits: int) -> None:
+        self.surfaces = tuple(surfaces)
+        self.lengths = tuple(lengths)
+        self.bits = bits
+
+    @classmethod
+    def from_slots(cls, surfaces, lengths, slots: np.ndarray) -> Segmentations:
+        packed = np.packbits(slots, bitorder="little").tobytes()
+        return cls(surfaces, lengths, int.from_bytes(packed, "little"))
+
+    @classmethod
+    def of(cls, words: Sequence[SegmentedWord]) -> Segmentations:
+        """``words`` as segmentations; segmentations as they are."""
+        if isinstance(words, Segmentations):
+            return words
+        return cls.from_slots(
+            [w.surface for w in words], [w.cuts[-1] for w in words], cut_slots(words)
+        )
+
+    def __len__(self) -> int:
+        return len(self.surfaces)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        surface, n = self.surfaces[index], self.lengths[index]
+        index %= len(self)
+        mask = (self.bits >> sum(self.lengths[:index])) & ((2 << n) - 1)
+        cuts = [k for k in range(n + 1) if mask >> k & 1]
+        return SegmentedWord.from_cuts(surface, graphemes(surface), cuts)
+
+    def __iter__(self) -> Iterator[SegmentedWord]:
+        offset = 0
+        for surface, n in zip(self.surfaces, self.lengths):
+            mask = (self.bits >> offset) & ((2 << n) - 1)
+            offset += n
+            cuts = [k for k in range(n + 1) if mask >> k & 1]
+            yield SegmentedWord.from_cuts(surface, graphemes(surface), cuts)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Segmentations({list(self)!r})"
+
+
+class Vocabulary:
+    """Morpheme ids, and the morphemes among the pieces of a word.
+
+    ``longest`` is the longest morpheme in code points, which bounds its
+    length in graphemes: no longer piece of a word is a morpheme.
+    """
+
+    def __init__(self, morphemes: Iterable[str]) -> None:
+        self.morphemes = tuple(dict.fromkeys(morphemes))
+        self.id = {m: i for i, m in enumerate(self.morphemes)}
+        self.longest = max(map(len, self.morphemes), default=0)
+
+    def pieces(self, g: Sequence[str]) -> list[list[tuple[int, int]]]:
+        """``pieces[i]`` holds ``(j, id)`` for every piece ``g[i:j]`` that
+        is a morpheme, by ascending j."""
+        get, n, out = self.id.get, len(g), []
+        for i in range(n):
+            starting, piece = [], ""
+            for j in range(i, min(n, i + self.longest)):
+                piece += g[j]
+                m = get(piece)
+                if m is not None:
+                    starting.append((j + 1, m))
+            out.append(starting)
+        return out
+
+
+class WordTable:
+    """Every word of a corpus once, laid out for the cells of a run to share.
+
+    ``words`` are surfaces or segmented words; surfaces are kept distinct,
+    in first-occurrence order, and ``row`` maps each to its row. The
+    positions of the words are laid end to end, word ``r`` at
+    ``ptr[r]:ptr[r + 1]``. A table of segmented words also holds their gold
+    cuts, as one slot per position and one after the last (see
+    :func:`cut_slots`), and their morpheme :attr:`vocabulary`, whose piece
+    ids it finds for a row on first use (:meth:`pieces`).
+    """
+
+    def __init__(self, words: Iterable[str | SegmentedWord]) -> None:
+        first: dict[str, str | SegmentedWord] = {}
+        for w in words:
+            first.setdefault(w if isinstance(w, str) else w.surface, w)
+        kept = list(first.values())
+        self.surfaces = tuple(first)
+        self.row = {s: i for i, s in enumerate(self.surfaces)}
+        self.graphemes = [graphemes(s) for s in self.surfaces]
+        self.lengths = np.fromiter(map(len, self.graphemes), dtype=np.int64, count=len(kept))
+        self.ptr = np.zeros(len(kept) + 1, dtype=np.int64)
+        np.cumsum(self.lengths, out=self.ptr[1:])
+        segmented = bool(kept) and not any(isinstance(w, str) for w in kept)
+        self.words: tuple[SegmentedWord, ...] | None = tuple(kept) if segmented else None
+        self._slots = cut_slots(kept) if segmented else None
+        self._pieces: dict[int, list[list[int]]] = {}
+
+    def rows(self, surfaces: Iterable[str]) -> np.ndarray | None:
+        """The row of each surface, or None when one is not in the table."""
+        row = self.row
+        try:
+            return np.fromiter((row[s] for s in surfaces), dtype=np.int64)
+        except KeyError:
+            return None
+
+    def positions(self, rows: np.ndarray) -> np.ndarray:
+        """The positions of the words at ``rows``, in order."""
+        return concat_ranges(self.ptr[rows], self.lengths[rows])
+
+    @property
+    def segmented(self) -> bool:
+        return self._slots is not None
+
+    def starts(self, rows: np.ndarray) -> np.ndarray:
+        """Whether a gold morpheme starts at each position of the words at
+        ``rows``, laid end to end."""
+        return self._slots[self.positions(rows)]
+
+    def gold(self, rows: Sequence[int]) -> Segmentations:
+        """The gold segmentations of the words at ``rows``."""
+        rows = np.asarray(rows, dtype=np.int64)
+        slots = np.append(self.starts(rows), True)
+        return Segmentations.from_slots(
+            [self.surfaces[r] for r in rows.tolist()], self.lengths[rows].tolist(), slots
+        )
+
+    @cached_property
+    def vocabulary(self) -> Vocabulary:
+        return Vocabulary(m for w in self.words for m in w.morphemes)
+
+    def pieces(self, row: int) -> list[list[int]]:
+        """The vocabulary's piece ids of the word at ``row``."""
+        pieces = self._pieces.get(row)
+        if pieces is None:
+            pieces = self._pieces[row] = self.vocabulary.pieces(self.graphemes[row])
+        return pieces
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import SegmentedWord
+import numpy as np
+
+from .corpus import SegmentedWord, Segmentations
 from .errors import ContractError, DomainError, ValidationError
 from .records import Record, as_fraction
 
@@ -104,20 +106,63 @@ def corpus_f1(
     variant: str = "boundary",
     average: str = "micro",
 ) -> ScoreTriple:
-    """Corpus-level F1 over aligned gold/predicted segmentations."""
+    """Corpus-level F1 over aligned gold/predicted segmentations.
+
+    Both sides are scored as :class:`Segmentations`, one integer of cut
+    bits each, and give the counts :func:`boundary_f1` and
+    :func:`morpheme_f1` give word by word. Macro averages sum the words'
+    precisions and recalls in word order, as :func:`mean_triple` does.
+    """
     if len(gold) != len(pred):
         raise ContractError(f"gold has {len(gold)} words, pred has {len(pred)}")
     if not gold:
         raise DomainError("corpus_f1 needs at least one word")
     if average not in AVERAGES:
         raise DomainError(f"average must be one of {AVERAGES}, got {average!r}")
-    counts = [_counts(g, p, variant) for g, p in zip(gold, pred)]
+    gold, pred = Segmentations.of(gold), Segmentations.of(pred)
+    if gold.surfaces != pred.surfaces:
+        g, p = next((g, p) for g, p in zip(gold.surfaces, pred.surfaces) if g != p)
+        raise ContractError(f"surface mismatch: gold {g!r} vs pred {p!r}")
+    if variant not in F1_VARIANTS:
+        raise DomainError(f"variant must be one of {F1_VARIANTS}, got {variant!r}")
+    # a word's units are its bits after its first slot, up to its last; a
+    # boundary is every one of them but the last
+    edge = int(variant == "boundary")
+    bits = (_found_in_both(gold.bits, pred.bits, variant), pred.bits, gold.bits)
     if average == "micro":
-        tp = sum(c[0] for c in counts)
-        fp = sum(c[1] for c in counts)
-        fn = sum(c[2] for c in counts)
-        return _prf(tp, fp, fn)
-    return mean_triple([_prf(*c) for c in counts])
+        tp, found, wanted = (b.bit_count() - 1 - edge * len(gold) for b in bits)
+        return _prf(tp, found - tp, wanted - tp)
+    tp, found, wanted = (_per_word(b, gold.lengths) - edge for b in bits)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        precision = np.where(found > 0, tp / found, np.where(wanted == 0, 1.0, 0.0))
+        recall = np.where(wanted > 0, tp / wanted, np.where(found == 0, 1.0, 0.0))
+    n = len(gold)
+    return ScoreTriple.from_pr(sum(precision.tolist()) / n, sum(recall.tolist()) / n)
+
+
+def _found_in_both(gold: int, pred: int, variant: str) -> int:
+    """The cut bits at which a unit of ``variant`` that both sides have
+    ends: a boundary at a cut of both, a morpheme at a cut of both whose
+    previous cut (of either side) is one of both's too."""
+    both = gold & pred
+    if variant == "boundary":
+        return both
+    either = gold | pred
+    gaps = either ^ ((1 << either.bit_length()) - 1)
+    # one's bit after each cut of one side only, carried over the gaps,
+    # lands on the next cut: a morpheme that one side lacks ends there
+    lacked = (gaps + ((either ^ both) << 1)) & either
+    return both & ~lacked
+
+
+def _per_word(bits: int, lengths: Sequence[int]) -> np.ndarray:
+    """The set bits of each word of ``lengths`` graphemes, after its first
+    slot up to its last."""
+    total = sum(lengths)
+    raw = np.frombuffer(bits.to_bytes(total // 8 + 1, "little"), dtype=np.uint8)
+    seen = np.cumsum(np.unpackbits(raw, count=total + 1, bitorder="little"))
+    ends = np.cumsum(lengths)
+    return seen[ends] - seen[ends - np.asarray(lengths)]
 
 
 def mean_triple(triples: Sequence[ScoreTriple]) -> ScoreTriple:

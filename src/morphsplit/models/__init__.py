@@ -10,9 +10,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Protocol, runtime_checkable
+from typing import Protocol, Sequence, runtime_checkable
 
-from ..corpus import Corpus, SegmentedWord
+from ..corpus import Corpus, SegmentedWord, WordTable
 from ..errors import ConfigError, ContractError
 from ..records import DECODE_ERRORS
 from .baselines import (
@@ -103,39 +103,41 @@ def train_segmenter(
     config: TrainConfig | None = None,
     unigram_smoothing: float = 0.1,
     workdir: str | Path | None = None,
-    table: FeatureTable | None = None,
+    table: WordTable | None = None,
 ):
     """Train the identified model on ``corpus`` and return it.
 
-    ``template``, ``config`` and a shared feature ``table`` apply to the
-    feature-based models; the unigram model takes ``unigram_smoothing``; the
-    external adapter needs ``workdir`` to hold its train file. The boundary
-    classifier is defined as gradient-descent trained, so
-    ``config.optimizer`` governs the CRF only.
+    ``template`` and ``config`` apply to the feature-based models; the
+    unigram model takes ``unigram_smoothing``; the external adapter needs
+    ``workdir`` to hold its train file. A shared ``table`` of the corpus's
+    words reaches every builtin model; the feature-based ones need a
+    :class:`FeatureTable`. The boundary classifier is defined as
+    gradient-descent trained, so ``config.optimizer`` governs the CRF only.
     """
     if isinstance(segmenter, str):
         segmenter = SegmenterId.parse(segmenter)
     if segmenter.name == "crf":
         return train_crf(corpus, template=template, config=config, table=table)
     if segmenter.name == "unigram_viterbi":
-        return train_unigram_viterbi(corpus, smoothing=unigram_smoothing)
+        return train_unigram_viterbi(corpus, smoothing=unigram_smoothing, table=table)
     if segmenter.name == "boundary_logistic":
         if config is not None:
             config = replace(config, optimizer="gradient_descent")
         return train_boundary_logistic(corpus, template=template, config=config, table=table)
     if segmenter.name == "longest_match":
-        return train_longest_match(corpus)
+        return train_longest_match(corpus, table=table)
     if workdir is None:
         raise ConfigError("external segmenter requires a workdir for its train file")
     seed = config.seed if config is not None else None
     return train_external(corpus, segmenter.command, workdir, seed=seed)
 
 
-def segment_corpus(model: Segmenter, surfaces) -> list[SegmentedWord]:
-    """Segment every surface, using the batch path when the model has one."""
+def segment_corpus(model: Segmenter, surfaces) -> Sequence[SegmentedWord]:
+    """Segment every surface, using the batch path when the model has one;
+    the builtin models return :class:`Segmentations`."""
     batch = getattr(model, "segment_batch", None)
     if batch is not None:
-        return list(batch(list(surfaces)))
+        return batch(list(surfaces))
     return [model.segment(s) for s in surfaces]
 
 

@@ -7,13 +7,21 @@ concatenation invariant by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
-from ..corpus import Corpus, SegmentedWord, graphemes
-from ..errors import DomainError
+from ..corpus import (
+    Corpus,
+    SegmentedWord,
+    Segmentations,
+    Vocabulary,
+    WordTable,
+    cut_slots,
+    graphemes,
+)
+from ..errors import DomainError, ValidationError
 from .features import (
     FeatureTable,
     FeatureTemplate,
@@ -24,40 +32,130 @@ from .features import (
 from .optim import TrainConfig, minimize
 
 
+class _PieceModel:
+    """A model that segments each word from the morphemes among its pieces
+    (:meth:`Vocabulary.pieces`), one word at a time.
+
+    A word in the model's ``table`` takes the table's pieces, found once
+    per row; any other word is looked up in the model's own vocabulary.
+    Subclasses give the value of each vocabulary id (``_values``) and the
+    cuts of a word from its pieces and those values (``_cuts``).
+    """
+
+    table: WordTable | None
+
+    def segment(self, surface: str) -> SegmentedWord:
+        return self.segment_batch([surface])[0]
+
+    def segment_batch(self, surfaces) -> Segmentations:
+        surfaces = list(surfaces)
+        table, cuts_of = self.table, self._cuts
+        row = table.row if table is not None else {}
+        at, lengths, offset = [], [], 0
+        for surface in surfaces:
+            r = row.get(surface)
+            if r is None:
+                pieces, values = self._own.pieces(graphemes(surface)), self._own_values
+            else:
+                pieces, values = table.pieces(r), self._table_values
+            if not pieces:
+                raise DomainError("surface must be non-empty")
+            at.extend([offset + cut for cut in cuts_of(pieces, values)])
+            lengths.append(len(pieces))
+            offset += len(pieces)
+        slots = np.zeros(offset + 1, dtype=bool)
+        slots[at] = True
+        slots[offset] = True
+        return Segmentations.from_slots(surfaces, lengths, slots)
+
+    @cached_property
+    def _own(self) -> Vocabulary:
+        return Vocabulary(sorted(self._morphemes()))
+
+    @cached_property
+    def _own_values(self) -> list:
+        return self._values(self._own)
+
+    @cached_property
+    def _table_values(self) -> list:
+        return self._values(self.table.vocabulary)
+
+
+def _table_for(table: WordTable | None, morphemes) -> WordTable | None:
+    """``table`` when its vocabulary holds every one of ``morphemes``."""
+    if table is None or not table.segmented:
+        return None
+    return table if set(morphemes).issubset(table.vocabulary.id) else None
+
+
 @dataclass
-class UnigramModel:
+class UnigramModel(_PieceModel):
     """Max-product segmenter over smoothed morpheme unigram probabilities.
 
-    Any substring outside the vocabulary scores ``log_oov``. Segmentation
-    maximizes the sum of log-probabilities over all 2^(L-1) segmentations by
-    dynamic programming; exact score ties prefer fewer morphemes, and
-    remaining ties keep the longest final morpheme.
+    Any substring outside the vocabulary scores ``log_oov``, and no
+    morpheme scores less. Segmentation maximizes the sum of
+    log-probabilities over all 2^(L-1) segmentations by dynamic
+    programming; exact score ties prefer fewer morphemes, and remaining
+    ties keep the longest final morpheme.
+
+    ``table`` is the word table the model was trained through; it is not
+    serialized.
     """
 
     log_probs: dict[str, float]
     log_oov: float
     smoothing: float
+    table: WordTable | None = field(default=None, repr=False, compare=False)
 
-    def segment(self, surface: str) -> SegmentedWord:
-        g = graphemes(surface)
-        n = len(g)
-        if n == 0:
-            raise DomainError("surface must be non-empty")
-        # best[j] = (score, morpheme count, split point) for prefix of length j
-        best: list[tuple[float, int, int]] = [(0.0, 0, -1)] + [(-math.inf, 0, -1)] * n
-        for j in range(1, n + 1):
-            for i in range(j):
-                prev = best[i]
-                piece = "".join(g[i:j])
-                score = prev[0] + self.log_probs.get(piece, self.log_oov)
-                count = prev[1] + 1
-                cur = best[j]
-                if score > cur[0] or (score == cur[0] and count < cur[1]):
-                    best[j] = (score, count, i)
+    def __post_init__(self) -> None:
+        low = sorted(m for m, v in self.log_probs.items() if not v >= self.log_oov)
+        if low:
+            raise ValidationError(
+                f"log_probs of {low[:3]!r} lie below log_oov {self.log_oov}: "
+                f"a morpheme may not be less likely than an unknown string"
+            )
+
+    def _morphemes(self):
+        return self.log_probs.keys()
+
+    def _values(self, vocabulary: Vocabulary) -> list[float]:
+        get, oov = self.log_probs.get, self.log_oov
+        return [get(m, oov) for m in vocabulary.morphemes]
+
+    def _cuts(self, pieces, log_probs) -> list[int]:
+        """The cuts of the best segmentation, by a DP over the pieces.
+
+        ``score[j]``, ``count[j]`` and ``back[j]`` are the best score of
+        the prefix of length j, its morpheme count and its last split. A
+        candidate is better when it scores higher, then when it has fewer
+        morphemes, then when it splits earlier (keeping the longest final
+        morpheme). Each prefix extends by the morphemes that start where
+        it ends. Every other piece scores ``log_oov``, so those candidates
+        are one running best over all earlier split points; counting a
+        morpheme's split point there too changes nothing, since it scores
+        no better as a morpheme than as an unknown string.
+        """
+        n, oov = len(pieces), self.log_oov
+        score = [0.0] + [-math.inf] * n
+        count, back = [0] * (n + 1), [-1] * (n + 1)
+        far_s, far_c, far_i = -math.inf, 0, -1
+        for i, starting in enumerate(pieces):
+            base, c = score[i], count[i] + 1
+            for j, piece in starting:
+                s = base + log_probs[piece]
+                if s > score[j] or (s == score[j] and c < count[j]):
+                    score[j], count[j], back[j] = s, c, i
+            s = base + oov
+            if s > far_s or (s == far_s and c < far_c):
+                far_s, far_c, far_i = s, c, i
+            j = i + 1
+            s = score[j]
+            if far_s > s or (far_s == s and (far_c < count[j] or far_c == count[j] and far_i < back[j])):
+                score[j], count[j], back[j] = far_s, far_c, far_i
         cuts = [n]
         while cuts[-1] > 0:
-            cuts.append(best[cuts[-1]][2])
-        return SegmentedWord.from_cuts(surface, g, cuts[::-1])
+            cuts.append(back[cuts[-1]])
+        return cuts
 
     def to_dict(self) -> dict:
         return {
@@ -76,11 +174,15 @@ class UnigramModel:
         )
 
 
-def train_unigram_viterbi(corpus: Corpus, smoothing: float = 0.1) -> UnigramModel:
+def train_unigram_viterbi(
+    corpus: Corpus, smoothing: float = 0.1, table: WordTable | None = None
+) -> UnigramModel:
     """Estimate add-``smoothing`` unigram probabilities with an OOV class.
 
     p(m) = (count(m) + smoothing) / (total + smoothing * (V + 1)); the extra
-    +1 reserves one smoothed class for all out-of-vocabulary strings.
+    +1 reserves one smoothed class for all out-of-vocabulary strings. The
+    model segments through ``table`` when its vocabulary holds every
+    training morpheme.
     """
     if smoothing <= 0:
         raise DomainError("smoothing must be > 0")
@@ -99,6 +201,7 @@ def train_unigram_viterbi(corpus: Corpus, smoothing: float = 0.1) -> UnigramMode
         log_probs=log_probs,
         log_oov=math.log(smoothing / denom),
         smoothing=smoothing,
+        table=_table_for(table, counts),
     )
 
 
@@ -133,33 +236,32 @@ class BoundaryLogisticModel(LinearFeatureModel):
     KIND = "boundary_logistic"
     GAPS = True
 
-    def _design(self, surfaces) -> sparse.csr_matrix:
-        """The design matrix of every gap of every surface, in order."""
-        ids, ptr, _ = self.feature_ids(surfaces)
-        return design_matrix(ids, ptr, len(self.weights))
-
-    def segment_batch(self, surfaces) -> list[SegmentedWord]:
+    def segment_batch(self, surfaces) -> Segmentations:
         """Segment every surface from one sparse product over all gaps."""
         surfaces = list(surfaces)
-        words = [graphemes(s) for s in surfaces]
-        if not all(words):
+        if not all(surfaces):
             raise DomainError("surface must be non-empty")
+        ids, ptr, lengths = self.feature_ids(surfaces)
+        starts = np.ones(int(lengths.sum()) + 1, dtype=bool)
         # sigma(z) > 0.5 iff z > 0; z == 0 stays unsplit
-        split = (self._design(surfaces) @ self.weights > 0.0).tolist()
-        out = []
-        k = 0
-        for surface, g in zip(surfaces, words):
-            n = len(g)
-            cuts = [0] + [gap for gap in range(1, n) if split[k + gap - 1]] + [n]
-            k += n - 1
-            out.append(SegmentedWord.from_cuts(surface, g, cuts))
-        return out
+        starts[_gaps(lengths)] = design_matrix(ids, ptr, len(self.weights)) @ self.weights > 0.0
+        return Segmentations.from_slots(surfaces, lengths.tolist(), starts)
 
 
-def _targets(words) -> np.ndarray:
-    """0/1 boundary targets of every gap of ``words``, in order: gap g is a
-    boundary iff g is one of the word's cuts."""
-    return np.asarray([float(g in w.cuts) for w in words for g in range(1, w.cuts[-1])])
+def _gaps(lengths: np.ndarray) -> np.ndarray:
+    """Whether each position of words of ``lengths`` graphemes, laid end to
+    end, opens a gap: every position but a word's first, and one past the
+    last."""
+    gaps = np.ones(int(lengths.sum()) + 1, dtype=bool)
+    gaps[np.cumsum(lengths) - lengths] = False
+    gaps[-1] = False
+    return gaps
+
+
+def _targets(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """0/1 boundary targets of every gap, from whether a gold morpheme
+    starts at each position: gap g is a boundary iff one starts at g."""
+    return starts[_gaps(lengths)[:-1]].astype(float)
 
 
 def logistic_objective(
@@ -169,8 +271,10 @@ def logistic_objective(
     words = list(batch)
     if not words:
         raise DomainError("logistic_objective needs a non-empty batch")
-    X = model._design(w.surface for w in words)
-    return _logistic_value(model.weights, X, _targets(words), model.l2_lambda)
+    ids, ptr, lengths = model.feature_ids(w.surface for w in words)
+    X = design_matrix(ids, ptr, len(model.weights))
+    targets = _targets(cut_slots(words)[:-1], lengths)
+    return _logistic_value(model.weights, X, targets, model.l2_lambda)
 
 
 def _logistic_value(weights, X, targets, l2):
@@ -204,13 +308,13 @@ def train_boundary_logistic(
     name. Words are featurized through ``table`` when it holds them all.
     """
     config = config if config is not None else TrainConfig(optimizer="gradient_descent")
-    model, words, (ids, ptr, _) = BoundaryLogisticModel.untrained(
+    model, starts, (ids, ptr, lengths) = BoundaryLogisticModel.untrained(
         corpus, template, config.l2_lambda, table
     )
     X = design_matrix(ids, ptr, len(model.weights))
     if not X.shape[0]:
         return model
-    targets = _targets(words)
+    targets = _targets(starts, lengths)
     result = minimize(
         lambda w: _logistic_value(w, X, targets, config.l2_lambda),
         model.weights,
@@ -221,30 +325,38 @@ def train_boundary_logistic(
 
 
 @dataclass
-class LongestMatchModel:
-    """Greedy left-to-right longest-match against a morpheme lexicon."""
+class LongestMatchModel(_PieceModel):
+    """Greedy left-to-right longest-match against a morpheme lexicon.
+
+    ``table`` is the word table the model was trained through; it is not
+    serialized.
+    """
 
     lexicon: frozenset[str]
+    table: WordTable | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.lexicon = frozenset(self.lexicon)
         self._max_len = max((len(graphemes(m)) for m in self.lexicon), default=0)
 
-    def segment(self, surface: str) -> SegmentedWord:
-        g = graphemes(surface)
-        n = len(g)
-        if n == 0:
-            raise DomainError("surface must be non-empty")
+    def _morphemes(self):
+        return self.lexicon
+
+    def _values(self, vocabulary: Vocabulary) -> list[bool]:
+        return [m in self.lexicon for m in vocabulary.morphemes]
+
+    def _cuts(self, pieces, in_lexicon) -> list[int]:
+        n, longest = len(pieces), self._max_len
         cuts = [0]
         while (i := cuts[-1]) < n:
             # single grapheme is the fallback whether or not it is in the lexicon
-            taken = 1
-            for length in range(min(self._max_len, n - i), 1, -1):
-                if "".join(g[i:i + length]) in self.lexicon:
-                    taken = length
+            j = i + 1
+            for end, piece in reversed(pieces[i]):
+                if i + 1 < end <= i + longest and in_lexicon[piece]:
+                    j = end
                     break
-            cuts.append(i + taken)
-        return SegmentedWord.from_cuts(surface, g, cuts)
+            cuts.append(j)
+        return cuts
 
     def to_dict(self) -> dict:
         return {"kind": "longest_match", "lexicon": sorted(self.lexicon)}
@@ -254,10 +366,11 @@ class LongestMatchModel:
         return cls(lexicon=frozenset(data["lexicon"]))
 
 
-def train_longest_match(corpus: Corpus) -> LongestMatchModel:
+def train_longest_match(corpus: Corpus, table: WordTable | None = None) -> LongestMatchModel:
+    """The lexicon of ``corpus``'s morphemes; the model segments through
+    ``table`` when its vocabulary holds them all."""
     words = list(corpus)
     if not words:
         raise DomainError("train_longest_match needs a non-empty corpus")
-    return LongestMatchModel(
-        lexicon=frozenset(m for w in words for m in w.morphemes)
-    )
+    lexicon = frozenset(m for w in words for m in w.morphemes)
+    return LongestMatchModel(lexicon=lexicon, table=_table_for(table, lexicon))

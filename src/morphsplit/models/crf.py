@@ -27,16 +27,16 @@ max-plus in log space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import chain
 
 import numpy as np
 
 from ..corpus import (
     Corpus,
     Label,
-    SegmentedWord,
-    decode_labels,
-    interior_labels,
+    Segmentations,
+    cut_slots,
+    label_starts,
+    start_labels,
 )
 from ..errors import DomainError, TrainingError
 # extract_features stays importable here: perfbench/tracing.py rebinds it
@@ -92,23 +92,20 @@ class CrfModel(LinearFeatureModel):
         """Per-position label scores, shape (L, 6)."""
         return _Batch(*self.feature_ids([surface]), len(self.feature_index)).X @ self.emission
 
-    def segment_batch(self, surfaces) -> list[SegmentedWord]:
-        """Viterbi-decode every surface in one pass over a length-sorted batch."""
+    def segment_batch(self, surfaces) -> Segmentations:
+        """Viterbi-decode every surface in one pass over a length-sorted
+        batch, and cut by :func:`decode_labels`'s rule."""
         surfaces = list(surfaces)
         if not all(surfaces):
             raise DomainError("surface must be non-empty")
         if not surfaces:
-            return []
+            return Segmentations.of([])
         batch = _Batch(*self.feature_ids(surfaces), len(self.feature_index))
         labels, _ = _viterbi(batch.X @ self.emission, self.transition, batch)
         by_word = np.empty_like(labels)
         by_word[batch.rows] = labels
-        by_word = by_word.tolist()
-        out = []
-        for surface, start, length in zip(surfaces, batch.starts.tolist(), batch.lengths.tolist()):
-            path = by_word[start:start + length]
-            out.append(decode_labels(surface, (Label.START, *map(Label, path), Label.END)))
-        return out
+        starts = label_starts(by_word, batch.lengths)
+        return Segmentations.from_slots(surfaces, batch.lengths.tolist(), np.append(starts, True))
 
 
 class _Batch:
@@ -276,7 +273,8 @@ def crf_gradient(model: CrfModel, batch) -> tuple[float, np.ndarray]:
     if not words:
         raise DomainError("crf_gradient needs a non-empty batch")
     n_features = len(model.feature_index)
-    prepared = _Batch(*model.feature_ids(w.surface for w in words), n_features, _gold(words))
+    gold = start_labels(cut_slots(words)[:-1])
+    prepared = _Batch(*model.feature_ids(w.surface for w in words), n_features, gold)
     return _objective_and_grad(model.weights, prepared, n_features, model.l2_lambda)
 
 
@@ -324,11 +322,6 @@ def viterbi_raw(model: CrfModel, surface: str) -> tuple[tuple[Label, ...], float
     return tuple(Label(p) for p in labels.tolist()), float(scores[0])
 
 
-def _gold(words) -> np.ndarray:
-    """The interior gold labels of every position of ``words``, word by word."""
-    return np.fromiter(chain.from_iterable(interior_labels(w) for w in words), dtype=np.int64)
-
-
 def train_crf(
     corpus: Corpus,
     template: FeatureTemplate | None = None,
@@ -344,9 +337,9 @@ def train_crf(
     are featurized through ``table`` when it holds them all.
     """
     config = config if config is not None else TrainConfig()
-    model, words, features = CrfModel.untrained(corpus, template, config.l2_lambda, table)
+    model, starts, features = CrfModel.untrained(corpus, template, config.l2_lambda, table)
     n_features = len(model.feature_index)
-    batch = _Batch(*features, n_features, _gold(words))
+    batch = _Batch(*features, n_features, start_labels(starts))
 
     def fun(w):
         return _objective_and_grad(w, batch, n_features, config.l2_lambda)

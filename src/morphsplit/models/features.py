@@ -18,7 +18,7 @@ from typing import ClassVar, Iterable
 import numpy as np
 from scipy import sparse
 
-from ..corpus import SegmentedWord, graphemes
+from ..corpus import SegmentedWord, WordTable, concat_ranges, cut_slots, graphemes
 from ..errors import ContractError, DomainError, ValidationError
 from ..records import Record
 
@@ -84,14 +84,6 @@ def _window_features(
     return frozenset(feats)
 
 
-def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``[s, s + n)`` for every (s, n) pair, concatenated."""
-    starts = np.asarray(starts, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    shift = starts - np.cumsum(lengths) + lengths
-    return np.repeat(shift, lengths) + np.arange(lengths.sum(), dtype=np.int64)
-
-
 def _ptr(counts: np.ndarray) -> np.ndarray:
     """CSR row pointers from row lengths."""
     ptr = np.zeros(len(counts) + 1, dtype=np.int64)
@@ -106,8 +98,9 @@ def design_matrix(ids: np.ndarray, ptr: np.ndarray, n_features: int) -> sparse.c
     )
 
 
-class FeatureTable:
-    """The features of every position of a list of words, as integer ranks.
+class FeatureTable(WordTable):
+    """A word table that also holds the features of every position, as
+    integer ranks.
 
     Feature names are ranked in sorted order (``names[r]``), and each
     position's ranks are stored ascending, CSR by word and position. A
@@ -120,17 +113,11 @@ class FeatureTable:
     of ``1 + 2 * V`` derived from the same ranks: ``BIAS`` is 0, ``L:f`` is
     ``1 + rank(f)`` and ``R:f`` is ``1 + V + rank(f)``. Since
     ``"BIAS" < "L:..." < "R:..."``, these ranks sort by name too.
-
-    Surfaces are kept distinct, in first-occurrence order; ``row`` maps
-    each to its row.
     """
 
-    def __init__(self, surfaces: Iterable[str], template: FeatureTemplate) -> None:
+    def __init__(self, words: Iterable[str | SegmentedWord], template: FeatureTemplate) -> None:
+        super().__init__(words)
         self.template = template
-        self.surfaces = tuple(dict.fromkeys(surfaces))
-        self.row = {s: i for i, s in enumerate(self.surfaces)}
-        self.graphemes = [graphemes(s) for s in self.surfaces]
-        self.lengths = np.fromiter(map(len, self.graphemes), dtype=np.int64, count=len(self.graphemes))
         keys: dict[tuple, int] = {}
         key_of_position = []
         for g in self.graphemes:
@@ -150,26 +137,14 @@ class FeatureTable:
         counts = key_len[kp]
         self._ranks = flat[concat_ranges(key_ptr[kp], counts)]
         self._pos_ptr = _ptr(counts)
-        self._word_ptr = _ptr(self.lengths)
 
     def __repr__(self) -> str:
         return f"FeatureTable({len(self.surfaces)} words, {len(self.names)} features, {self.template})"
 
-    def rows(self, surfaces: Iterable[str]) -> np.ndarray | None:
-        """The row of each surface, or None when one is not in the table."""
-        row = self.row
-        try:
-            return np.fromiter((row[s] for s in surfaces), dtype=np.int64)
-        except KeyError:
-            return None
-
-    def _positions(self, rows: np.ndarray) -> np.ndarray:
-        return concat_ranges(self._word_ptr[rows], self.lengths[rows])
-
     def position_ranks(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(ranks, ptr): the features of every position of the words at
         ``rows``, in order, CSR by position."""
-        pos = self._positions(rows)
+        pos = self.positions(rows)
         counts = self._pos_ptr[pos + 1] - self._pos_ptr[pos]
         return self._ranks[concat_ranges(self._pos_ptr[pos], counts)], _ptr(counts)
 
@@ -177,7 +152,7 @@ class FeatureTable:
         """(ranks, ptr): the gap features of every gap of the words at
         ``rows``, in order, CSR by gap; gap g of a word joins its positions
         g - 1 (``L:``) and g (``R:``)."""
-        pos = self._positions(rows)
+        pos = self.positions(rows)
         lengths = self.lengths[rows]
         ends = np.cumsum(lengths)[lengths > 0]
         first = np.zeros(len(pos), dtype=bool)
@@ -316,13 +291,15 @@ class LinearFeatureModel:
     @classmethod
     def untrained(cls, corpus, template: FeatureTemplate | None, l2_lambda: float,
                   table: FeatureTable | None):
-        """(model, words, features): the zero-weight model over the
-        features of ``corpus``, its words, and their (ids, ptr, lengths) as
-        :meth:`feature_ids` gives them.
+        """(model, starts, features): the zero-weight model over the
+        features of ``corpus``, whether a gold morpheme starts at each
+        position of its words, laid end to end, and their (ids, ptr,
+        lengths) as :meth:`feature_ids` gives them.
 
         The feature index follows first occurrence over the positions (or
         gaps) in corpus order, each one's features by name. Words are
-        featurized through ``table`` when it holds them all. ``template``
+        featurized through ``table`` when it holds them all, and their gold
+        is read from it when it was built from segmented words. ``template``
         defaults to the table's, else to the default; a table built for
         another template is refused.
         """
@@ -346,7 +323,8 @@ class LinearFeatureModel:
             table=table,
             table_ids=local,
         )
-        return model, words, (*localize(ranks, ptr, local), table.lengths[rows])
+        starts = table.starts(rows) if table.segmented else cut_slots(words)[:-1]
+        return model, starts, (*localize(ranks, ptr, local), table.lengths[rows])
 
     def to_dict(self) -> dict:
         order = sorted(self.feature_index, key=self.feature_index.__getitem__)

@@ -51,7 +51,7 @@ from pathlib import Path
 from tempfile import TemporaryDirectory
 from typing import Iterable, Iterator, Sequence
 
-from .corpus import Corpus, corpus_stats, parse_corpus
+from .corpus import Corpus, WordTable, corpus_stats, parse_corpus
 from .errors import ConfigError, DomainError, LedgerError, SingularityError, ValidationError
 from .evaluation import (
     AVERAGES,
@@ -307,17 +307,18 @@ def _sha256(path: str | Path) -> str:
 @dataclass
 class _Job:
     """What the cells one process computes share: the run's corpora by
-    language, its config, and each corpus's feature table, built on the
-    first cell with a feature model."""
+    language, its config, and each corpus's word table, built on its first
+    cell (a feature table when the run has a feature model)."""
 
     corpora: dict[str, Corpus]
     config: RunConfig
-    tables: dict[str, FeatureTable] = field(default_factory=dict)
+    tables: dict[str, WordTable] = field(default_factory=dict)
 
 
 # This process's job: set by `_execute` around an inline run and by a pool
 # worker's initializer for the worker's life. Outside both (compute_cell
-# called on its own) there is none, and each model featurizes its own words.
+# called on its own) there is none: each model featurizes and looks up its
+# own words, and scoring reads the gold words' cuts.
 # Tables are not an argument because compute_cell keeps the (corpus, cell,
 # config) signature that perfbench/tracing.py wraps.
 _JOB: _Job | None = None
@@ -328,13 +329,14 @@ def _set_job(job: _Job | None) -> None:
     _JOB = job
 
 
-def _feature_table(corpus: Corpus, template: FeatureTemplate) -> FeatureTable | None:
+def _word_table(corpus: Corpus, template: FeatureTemplate, featurized: bool) -> WordTable | None:
     if _JOB is None:
         return None
     tables = _JOB.tables
     table = tables.get(corpus.language_tag)
     if table is None:
-        table = tables[corpus.language_tag] = FeatureTable((w.surface for w in corpus), template)
+        table = FeatureTable(corpus, template) if featurized else WordTable(corpus)
+        tables[corpus.language_tag] = table
     return table
 
 
@@ -342,9 +344,10 @@ def compute_cell(corpus: Corpus, cell: GridCell, config: RunConfig) -> dict:
     """Train, segment, and score every model on one grid cell.
 
     Returns the persistable payload: the cell, its CellResult, and the
-    regression record rows (two per model, one per scored side). Feature
-    models share the run's feature table of ``corpus``, if there is one; a
-    temporary directory is made only for ``external:`` models.
+    regression record rows (two per model, one per scored side). Models
+    share the run's word table of ``corpus``, if there is one, and scoring
+    reads its gold cuts; a temporary directory is made only for
+    ``external:`` models.
     """
     train = corpus.subset(cell.train_indices)
     eval_gold = [corpus[i] for i in cell.eval_indices]
@@ -359,7 +362,11 @@ def compute_cell(corpus: Corpus, cell: GridCell, config: RunConfig) -> dict:
     }
     template = config.template()
     sids = [SegmenterId.parse(spec) for spec in sorted(config.models)]
-    features = _feature_table(corpus, template) if any(s.featurized for s in sids) else None
+    shared = _word_table(corpus, template, any(s.featurized for s in sids))
+    if shared is not None:
+        eval_cuts, new_cuts = shared.gold(cell.eval_indices), shared.gold(cell.new_test_indices)
+    else:
+        eval_cuts, new_cuts = eval_gold, new_gold
     external = any(s.name == "external" for s in sids)
     with TemporaryDirectory(prefix="morphsplit-cell-") if external else nullcontext() as tmp:
         for mi, sid in enumerate(sids):
@@ -377,16 +384,16 @@ def compute_cell(corpus: Corpus, cell: GridCell, config: RunConfig) -> dict:
                     config=config.train_config(seed),
                     unigram_smoothing=config.unigram_smoothing,
                     workdir=None if tmp is None else Path(tmp) / f"m{mi}k{k}",
-                    table=features,
+                    table=shared,
                 )
                 pred_eval = segment_corpus(model, eval_surfaces)
                 pred_new = segment_corpus(model, new_surfaces)
                 for variant in F1_VARIANTS:
                     per_seed[f"{variant}_eval"].append(
-                        corpus_f1(eval_gold, pred_eval, variant, config.f1_average)
+                        corpus_f1(eval_cuts, pred_eval, variant, config.f1_average)
                     )
                     per_seed[f"{variant}_new"].append(
-                        corpus_f1(new_gold, pred_new, variant, config.f1_average)
+                        corpus_f1(new_cuts, pred_new, variant, config.f1_average)
                     )
             for table, triples in per_seed.items():
                 tables[table][key] = mean_triple(triples * copies)
@@ -536,8 +543,8 @@ def _execute(
     Either way a unit's splits are built right before its cells, in the
     process that computes them, so no grid is built up front. A pool hands
     the corpora this run parsed to each worker once, when the worker
-    starts. Each process builds a corpus's feature table at most once, on
-    its first cell with a feature model.
+    starts. Each process builds a corpus's word table at most once, on its
+    first cell of that corpus.
     """
     job = _Job({corpus.language_tag: corpus for _, corpus in corpora}, config)
     if config.parallelism > 1 and len(units) > 1:

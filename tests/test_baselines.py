@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphsplit.corpus import Corpus, SegmentedWord, graphemes
-from morphsplit.errors import DomainError
+from morphsplit.corpus import Corpus, SegmentedWord, WordTable, graphemes
+from morphsplit.errors import DomainError, ValidationError
 from morphsplit.models import (
     BoundaryLogisticModel,
     FeatureTemplate,
@@ -135,14 +135,111 @@ TIE_CASES = {
 }
 
 
+def reference_unigram(model, surface):
+    """The unigram DP over every piece of the word, each looked up by its
+    joined string: the O(n^2) reference for the piece-id DP."""
+    g = graphemes(surface)
+    n = len(g)
+    best = [(0.0, 0, -1)] + [(-math.inf, 0, -1)] * n
+    for j in range(1, n + 1):
+        for i in range(j):
+            score = best[i][0] + model.log_probs.get("".join(g[i:j]), model.log_oov)
+            count = best[i][1] + 1
+            if score > best[j][0] or (score == best[j][0] and count < best[j][1]):
+                best[j] = (score, count, i)
+    cuts = [n]
+    while cuts[-1] > 0:
+        cuts.append(best[cuts[-1]][2])
+    return tuple("".join(g[a:b]) for a, b in zip(cuts[::-1], cuts[-2::-1]))
+
+
+def reference_longest_match(model, surface):
+    g = graphemes(surface)
+    longest = max((len(graphemes(m)) for m in model.lexicon), default=0)
+    out, i = [], 0
+    while i < len(g):
+        taken = 1
+        for length in range(min(longest, len(g) - i), 1, -1):
+            if "".join(g[i:i + length]) in model.lexicon:
+                taken = length
+                break
+        out.append("".join(g[i:i + taken]))
+        i += taken
+    return tuple(out)
+
+
 class TestUnigramTieBreaks:
+    @pytest.mark.parametrize("via", ["segment", "table"])
     @pytest.mark.parametrize("case", sorted(TIE_CASES))
-    def test_pinned_tie_breaks(self, case):
+    def test_pinned_tie_breaks(self, case, via):
         log_probs, log_oov, surface, expected = TIE_CASES[case]
-        model = UnigramModel(log_probs=log_probs, log_oov=log_oov, smoothing=0.1)
+        table = None
+        if via == "table":
+            # a corpus whose morphemes hold the model's vocabulary
+            words = [SegmentedWord(m, (m,)) for m in log_probs if m != surface]
+            table = WordTable([*words, SegmentedWord(surface, expected)])
+        model = UnigramModel(log_probs=log_probs, log_oov=log_oov, smoothing=0.1, table=table)
         word = model.segment(surface)
-        assert word.morphemes == expected
+        assert word.morphemes == expected == reference_unigram(model, surface)
         assert word == SegmentedWord(surface, expected)
+
+    def test_a_morpheme_below_oov_is_refused(self):
+        with pytest.raises(ValidationError, match="below log_oov"):
+            UnigramModel(log_probs={"a": -1.0, "b": -6.0}, log_oov=-5.0, smoothing=0.1)
+
+    def test_no_vocabulary_leaves_the_word_whole(self):
+        model = UnigramModel(log_probs={}, log_oov=-1.0, smoothing=0.1)
+        assert model.segment("e\u0301ab").morphemes == ("e\u0301ab",)
+
+
+# corpora over a small alphabet with clusters, so pieces repeat across words
+PIECES = ("a", "b", "ab", "ba", "c", "e\u0301", "e\u0301a", "bca", "abab")
+piece_words = st.lists(st.sampled_from(PIECES), min_size=1, max_size=4)
+
+
+@st.composite
+def table_case(draw):
+    """(training corpus, corpus the table is built from, surfaces to segment)."""
+    words = {}
+    for ms in draw(st.lists(piece_words, min_size=2, max_size=14)):
+        words.setdefault("".join(ms), SegmentedWord("".join(ms), tuple(ms)))
+    words = list(words.values())
+    k = draw(st.integers(1, len(words)))
+    unseen = ["".join(ms) for ms in draw(st.lists(piece_words, max_size=4))]
+    surfaces = list(dict.fromkeys([w.surface for w in words] + unseen))
+    return Corpus(tuple(words[:k]), "t"), Corpus(tuple(words), "t"), surfaces
+
+
+class TestPieceTable:
+    """Segmenting through a corpus's word table equals single-word
+    segmenting, and both equal the per-piece string references."""
+
+    @given(table_case(), st.floats(0.01, 5.0))
+    @settings(max_examples=80, deadline=None)
+    def test_unigram(self, case, smoothing):
+        train, whole, surfaces = case
+        shared = train_unigram_viterbi(train, smoothing, table=WordTable(whole))
+        alone = train_unigram_viterbi(train, smoothing)
+        assert shared.table is not None and alone.table is None
+        got = shared.segment_batch(surfaces)
+        assert got == [alone.segment(s) for s in surfaces]
+        assert [w.morphemes for w in got] == [reference_unigram(alone, s) for s in surfaces]
+
+    @given(table_case())
+    @settings(max_examples=80, deadline=None)
+    def test_longest_match(self, case):
+        train, whole, surfaces = case
+        shared = train_longest_match(train, table=WordTable(whole))
+        alone = train_longest_match(train)
+        assert shared.table is not None and alone.table is None
+        got = shared.segment_batch(surfaces)
+        assert got == [alone.segment(s) for s in surfaces]
+        assert [w.morphemes for w in got] == [reference_longest_match(alone, s) for s in surfaces]
+
+    def test_a_table_without_the_training_morphemes_is_not_used(self):
+        other = WordTable([SegmentedWord("walk", ("walk",))])
+        assert train_unigram_viterbi(toy_corpus(), table=other).table is None
+        assert train_longest_match(toy_corpus(), table=WordTable(["walked"])).table is None
 
 
 class TestGapFeatures:

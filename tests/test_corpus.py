@@ -3,6 +3,7 @@
 import itertools
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -200,6 +201,55 @@ class TestCodecProperties:
         raw = data.draw(st.lists(st.sampled_from(list(Label)), min_size=n, max_size=n))
         word = C.decode_labels(surface, tuple(raw))
         assert "".join(word.morphemes) == surface
+
+
+class TestManyWordCodec:
+    """``label_starts`` and ``start_labels`` apply the one-word codec's
+    rules to many words at once."""
+
+    def test_label_starts_equals_decode_labels_on_every_short_sequence(self):
+        sequences = [
+            seq for n in range(1, 6) for seq in itertools.product(list(Label), repeat=n)
+        ]
+        assert len(sequences) == 9330
+        labels = np.array([lab for seq in sequences for lab in seq], dtype=np.int64)
+        lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
+        surfaces = ["abcde"[:n] for n in lengths.tolist()]
+        slots = np.append(C.label_starts(labels, lengths), True)
+        got = C.Segmentations.from_slots(surfaces, lengths.tolist(), slots)
+        want = [
+            C.decode_labels(s, (Label.START, *seq, Label.END)) for s, seq in zip(surfaces, sequences)
+        ]
+        assert [w.cuts for w in got] == [w.cuts for w in want]
+
+    @given(st.lists(words_strategy, min_size=1, max_size=6))
+    def test_start_labels_equals_interior_labels(self, words):
+        starts = C.cut_slots(words)[:-1]
+        want = [lab for w in words for lab in C.interior_labels(w)]
+        assert C.start_labels(starts).tolist() == want
+
+
+class TestWordTable:
+    def test_rows_gold_and_pieces(self):
+        words = [
+            C.SegmentedWord("walked", ("walk", "ed")),
+            C.SegmentedWord("e\u0301ta", ("e\u0301", "ta")),
+            C.SegmentedWord("walks", ("walk", "s")),
+        ]
+        table = C.WordTable([*words, C.SegmentedWord("walked", ("walked",))])
+        assert table.surfaces == ("walked", "e\u0301ta", "walks")
+        assert table.rows(["walks", "walked"]).tolist() == [2, 0]
+        assert table.rows(["walks", "talks"]) is None
+        assert table.gold([2, 0, 1]) == [words[2], words[0], words[1]]
+        assert table.starts(np.array([1])).tolist() == [True, True, False]
+        vocab = table.vocabulary
+        assert vocab.morphemes == ("walk", "ed", "e\u0301", "ta", "s")
+        assert table.pieces(1) == [[(1, 2)], [(3, 3)], []]
+        assert table.pieces(2) == [[(4, 0)], [], [], [], [(5, 4)]]
+
+    def test_a_table_of_surfaces_has_no_gold(self):
+        table = C.WordTable(["ab", "ab", "c"])
+        assert table.surfaces == ("ab", "c") and not table.segmented
 
 
 class TestStats:

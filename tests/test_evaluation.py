@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphsplit.corpus import SegmentedWord
+from morphsplit.corpus import SegmentedWord, Segmentations
 from morphsplit.errors import ContractError, DomainError, ValidationError
 from morphsplit.evaluation import (
     CellResult,
@@ -18,6 +18,7 @@ from morphsplit.evaluation import (
     boundary_positions,
     corpus_f1,
     generalization_gap,
+    mean_triple,
     morpheme_f1,
     morpheme_overlap,
     morpheme_spans,
@@ -196,6 +197,71 @@ class TestCorpusF1:
     def test_unknown_variant_rejected(self):
         with pytest.raises(DomainError):
             corpus_f1([seg("ab")], [seg("ab")], "chunk")
+
+
+# whole grapheme clusters, some of several code points
+SCORED_CLUSTERS = ("a", "b", "k", "e\u0301", "o\u0308\u0301", "\U0001F1FA\U0001F1F8", "\uAC00")
+
+
+@st.composite
+def scored_corpus(draw):
+    """Aligned gold and predicted segmentations of distinct-or-repeated
+    surfaces over whole clusters."""
+    n = draw(st.integers(1, 12))
+    gold, pred = [], []
+    for _ in range(n):
+        g = draw(st.lists(st.sampled_from(SCORED_CLUSTERS), min_size=1, max_size=9))
+        surface = "".join(g)
+        for side in (gold, pred):
+            mask = draw(st.lists(st.booleans(), min_size=len(g) - 1, max_size=len(g) - 1))
+            cuts = [0, *(i + 1 for i, b in enumerate(mask) if b), len(g)]
+            side.append(SegmentedWord(surface, tuple("".join(g[a:b]) for a, b in zip(cuts, cuts[1:]))))
+    return gold, pred
+
+
+def reference_f1(gold, pred, variant, average):
+    """The per-word formula: each word's counts from ``boundary_f1`` /
+    ``morpheme_f1``'s position and span sets, summed (micro) or averaged
+    word by word (macro)."""
+    word_f1 = boundary_f1 if variant == "boundary" else morpheme_f1
+    if average == "macro":
+        return mean_triple([word_f1(g, p) for g, p in zip(gold, pred)])
+    sets = boundary_positions if variant == "boundary" else morpheme_spans
+    tp = fp = fn = 0
+    for g, p in zip(gold, pred):
+        a, b = sets(g), sets(p)
+        tp, fp, fn = tp + len(a & b), fp + len(b - a), fn + len(a - b)
+    precision = tp / (tp + fp) if tp + fp else (1.0 if tp + fn == 0 else 0.0)
+    recall = tp / (tp + fn) if tp + fn else (1.0 if tp + fp == 0 else 0.0)
+    return ScoreTriple.from_pr(precision, recall)
+
+
+class TestCutScorer:
+    """``corpus_f1`` scores cut bits; the per-word formula is its reference."""
+
+    @given(scored_corpus())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_the_per_word_formula(self, corpus):
+        gold, pred = corpus
+        for variant in ("boundary", "morpheme"):
+            for average in ("micro", "macro"):
+                want = reference_f1(gold, pred, variant, average)
+                assert corpus_f1(gold, pred, variant, average) == want
+                got = corpus_f1(Segmentations.of(gold), Segmentations.of(pred), variant, average)
+                assert got == want
+
+    @given(scored_corpus())
+    @settings(max_examples=50, deadline=None)
+    def test_segmentations_read_back_as_the_words(self, corpus):
+        gold, _ = corpus
+        cuts = Segmentations.of(gold)
+        assert cuts == gold and list(cuts) == gold
+        assert [w.cuts for w in cuts] == [w.cuts for w in gold]
+        assert cuts[-1] == gold[-1] and cuts[1:] == gold[1:]
+
+    def test_surface_mismatch_names_the_first_pair(self):
+        with pytest.raises(ContractError, match="'ab' vs pred 'ba'"):
+            corpus_f1([seg("xy"), seg("ab")], [seg("xy"), seg("ba")])
 
 
 class TestRankModels:

@@ -590,6 +590,22 @@ class TestResume:
         R.resume(cfg.output_dir)
         assert split_calls == []
 
+    def test_finished_run_resumes_without_a_word_table(self, corpus_file, tmp_path, monkeypatch):
+        built = []
+
+        def counted(self, words, _init=C.WordTable.__init__):
+            _init(self, words)
+            built.append(self.surfaces)
+
+        monkeypatch.setattr(C.WordTable, "__init__", counted)
+        cfg = make_config(corpus_file, tmp_path / "run")
+        R.run_experiment(cfg)
+        # one table per corpus, for every cell of the inline run
+        assert len(built) == 1
+        built.clear()
+        R.resume(cfg.output_dir)
+        assert built == []
+
     def test_deleted_cell_rebuilds_only_its_carve_and_split(
         self, corpus_file, tmp_path, split_calls
     ):
