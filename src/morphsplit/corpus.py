@@ -15,6 +15,7 @@ pattern and then read back as morphemes.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import logging
 from dataclasses import dataclass, field
@@ -239,7 +240,7 @@ def decode_labels(surface: str, labels: Sequence[Label] | LabelSequence) -> Segm
     return SegmentedWord.from_cuts(surface, g, starts + [len(g)])
 
 
-def label_starts(labels: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+def decode_starts(labels: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """:func:`decode_labels`'s rule over many words at once: whether a
     morpheme starts at each position, for the interior ``labels`` of words
     of ``lengths`` graphemes laid end to end."""
@@ -250,7 +251,7 @@ def label_starts(labels: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return starts
 
 
-def start_labels(starts: np.ndarray) -> np.ndarray:
+def encode_starts(starts: np.ndarray) -> np.ndarray:
     """:func:`interior_labels` over many words at once, from whether a
     morpheme starts at each of their positions, laid end to end."""
     ends = np.append(starts[1:], True)
@@ -280,6 +281,17 @@ def cut_slots(words: Sequence[SegmentedWord]) -> np.ndarray:
     return slots
 
 
+def pack_slots(slots: np.ndarray) -> int:
+    """The integer whose bit ``i`` is slot ``i``."""
+    return int.from_bytes(np.packbits(slots, bitorder="little").tobytes(), "little")
+
+
+def unpack_slots(bits: int, count: int) -> np.ndarray:
+    """The first ``count`` bits of ``bits`` as 0/1 slots."""
+    raw = np.frombuffer(bits.to_bytes(count // 8 + 1, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=count, bitorder="little")
+
+
 class Segmentations(Sequence[SegmentedWord]):
     """The segmentations of a list of surfaces, as one integer of cut bits.
 
@@ -298,8 +310,7 @@ class Segmentations(Sequence[SegmentedWord]):
 
     @classmethod
     def from_slots(cls, surfaces, lengths, slots: np.ndarray) -> Segmentations:
-        packed = np.packbits(slots, bitorder="little").tobytes()
-        return cls(surfaces, lengths, int.from_bytes(packed, "little"))
+        return cls(surfaces, lengths, pack_slots(slots))
 
     @classmethod
     def of(cls, words: Sequence[SegmentedWord]) -> Segmentations:
@@ -315,20 +326,21 @@ class Segmentations(Sequence[SegmentedWord]):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [self[i] for i in range(len(self))[index]]
+            return list(self)[index]
         surface, n = self.surfaces[index], self.lengths[index]
-        index %= len(self)
-        mask = (self.bits >> sum(self.lengths[:index])) & ((2 << n) - 1)
+        mask = self.bits >> sum(self.lengths[:range(len(self))[index]])
         cuts = [k for k in range(n + 1) if mask >> k & 1]
         return SegmentedWord.from_cuts(surface, graphemes(surface), cuts)
 
     def __iter__(self) -> Iterator[SegmentedWord]:
-        offset = 0
+        at = np.flatnonzero(unpack_slots(self.bits, sum(self.lengths) + 1)).tolist()
+        k = offset = 0
         for surface, n in zip(self.surfaces, self.lengths):
-            mask = (self.bits >> offset) & ((2 << n) - 1)
-            offset += n
-            cuts = [k for k in range(n + 1) if mask >> k & 1]
+            # this word's last cut is the next word's first
+            end = bisect.bisect_right(at, offset + n, k)
+            cuts = [a - offset for a in at[k:end]]
             yield SegmentedWord.from_cuts(surface, graphemes(surface), cuts)
+            k, offset = end - 1, offset + n
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Sequence) and not isinstance(other, str):

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import SegmentedWord, Segmentations
+from .corpus import SegmentedWord, Segmentations, unpack_slots
 from .errors import ContractError, DomainError, ValidationError
 from .records import Record, as_fraction
 
@@ -158,9 +158,7 @@ def _found_in_both(gold: int, pred: int, variant: str) -> int:
 def _per_word(bits: int, lengths: Sequence[int]) -> np.ndarray:
     """The set bits of each word of ``lengths`` graphemes, after its first
     slot up to its last."""
-    total = sum(lengths)
-    raw = np.frombuffer(bits.to_bytes(total // 8 + 1, "little"), dtype=np.uint8)
-    seen = np.cumsum(np.unpackbits(raw, count=total + 1, bitorder="little"))
+    seen = np.cumsum(unpack_slots(bits, sum(lengths) + 1), dtype=np.int64)
     ends = np.cumsum(lengths)
     return seen[ends] - seen[ends - np.asarray(lengths)]
 

@@ -1,6 +1,7 @@
 """Three lightweight segmentation baselines.
 
-All three expose ``segment(surface) -> SegmentedWord`` and always honor the
+All three expose ``segment(surface) -> SegmentedWord`` and
+``segment_batch(surfaces) -> Segmentations``, and always honor the
 concatenation invariant by construction.
 """
 
@@ -48,6 +49,7 @@ class _PieceModel:
         return self.segment_batch([surface])[0]
 
     def segment_batch(self, surfaces) -> Segmentations:
+        """Segment every surface, one at a time."""
         surfaces = list(surfaces)
         table, cuts_of = self.table, self._cuts
         row = table.row if table is not None else {}
@@ -131,9 +133,10 @@ class UnigramModel(_PieceModel):
         morphemes, then when it splits earlier (keeping the longest final
         morpheme). Each prefix extends by the morphemes that start where
         it ends. Every other piece scores ``log_oov``, so those candidates
-        are one running best over all earlier split points; counting a
-        morpheme's split point there too changes nothing, since it scores
-        no better as a morpheme than as an unknown string.
+        are one running best over all earlier split points. That best also
+        counts the split points of morphemes as if they were unknown, which
+        changes nothing: no morpheme scores less than ``log_oov``, so its
+        own candidate is at least as good.
         """
         n, oov = len(pieces), self.log_oov
         score = [0.0] + [-math.inf] * n

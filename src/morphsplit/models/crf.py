@@ -35,8 +35,8 @@ from ..corpus import (
     Label,
     Segmentations,
     cut_slots,
-    label_starts,
-    start_labels,
+    decode_starts,
+    encode_starts,
 )
 from ..errors import DomainError, TrainingError
 # extract_features stays importable here: perfbench/tracing.py rebinds it
@@ -104,7 +104,7 @@ class CrfModel(LinearFeatureModel):
         labels, _ = _viterbi(batch.X @ self.emission, self.transition, batch)
         by_word = np.empty_like(labels)
         by_word[batch.rows] = labels
-        starts = label_starts(by_word, batch.lengths)
+        starts = decode_starts(by_word, batch.lengths)
         return Segmentations.from_slots(surfaces, batch.lengths.tolist(), np.append(starts, True))
 
 
@@ -273,7 +273,7 @@ def crf_gradient(model: CrfModel, batch) -> tuple[float, np.ndarray]:
     if not words:
         raise DomainError("crf_gradient needs a non-empty batch")
     n_features = len(model.feature_index)
-    gold = start_labels(cut_slots(words)[:-1])
+    gold = encode_starts(cut_slots(words)[:-1])
     prepared = _Batch(*model.feature_ids(w.surface for w in words), n_features, gold)
     return _objective_and_grad(model.weights, prepared, n_features, model.l2_lambda)
 
@@ -339,7 +339,7 @@ def train_crf(
     config = config if config is not None else TrainConfig()
     model, starts, features = CrfModel.untrained(corpus, template, config.l2_lambda, table)
     n_features = len(model.feature_index)
-    batch = _Batch(*features, n_features, start_labels(starts))
+    batch = _Batch(*features, n_features, encode_starts(starts))
 
     def fun(w):
         return _objective_and_grad(w, batch, n_features, config.l2_lambda)

@@ -317,8 +317,7 @@ class _Job:
 
 # This process's job: set by `_execute` around an inline run and by a pool
 # worker's initializer for the worker's life. Outside both (compute_cell
-# called on its own) there is none: each model featurizes and looks up its
-# own words, and scoring reads the gold words' cuts.
+# called on its own) there is none, and each call builds a table of its own.
 # Tables are not an argument because compute_cell keeps the (corpus, cell,
 # config) signature that perfbench/tracing.py wraps.
 _JOB: _Job | None = None
@@ -329,10 +328,8 @@ def _set_job(job: _Job | None) -> None:
     _JOB = job
 
 
-def _word_table(corpus: Corpus, template: FeatureTemplate, featurized: bool) -> WordTable | None:
-    if _JOB is None:
-        return None
-    tables = _JOB.tables
+def _word_table(corpus: Corpus, template: FeatureTemplate, featurized: bool) -> WordTable:
+    tables = _JOB.tables if _JOB is not None else {}
     table = tables.get(corpus.language_tag)
     if table is None:
         table = FeatureTable(corpus, template) if featurized else WordTable(corpus)
@@ -345,28 +342,21 @@ def compute_cell(corpus: Corpus, cell: GridCell, config: RunConfig) -> dict:
 
     Returns the persistable payload: the cell, its CellResult, and the
     regression record rows (two per model, one per scored side). Models
-    share the run's word table of ``corpus``, if there is one, and scoring
-    reads its gold cuts; a temporary directory is made only for
-    ``external:`` models.
+    share the run's word table of ``corpus``, and scoring reads its gold
+    cuts; a temporary directory is made only for ``external:`` models.
     """
+    template = config.template()
+    sids = [SegmenterId.parse(spec) for spec in sorted(config.models)]
+    shared = _word_table(corpus, template, any(s.featurized for s in sids))
     train = corpus.subset(cell.train_indices)
     eval_gold = [corpus[i] for i in cell.eval_indices]
-    new_gold = [corpus[i] for i in cell.new_test_indices]
-    eval_surfaces = [w.surface for w in eval_gold]
-    new_surfaces = [w.surface for w in new_gold]
+    eval_cuts, new_cuts = shared.gold(cell.eval_indices), shared.gold(cell.new_test_indices)
     overlap = morpheme_overlap(train, eval_gold)
 
     tables: dict[str, dict[str, ScoreTriple]] = {
         "boundary_eval": {}, "boundary_new": {},
         "morpheme_eval": {}, "morpheme_new": {},
     }
-    template = config.template()
-    sids = [SegmenterId.parse(spec) for spec in sorted(config.models)]
-    shared = _word_table(corpus, template, any(s.featurized for s in sids))
-    if shared is not None:
-        eval_cuts, new_cuts = shared.gold(cell.eval_indices), shared.gold(cell.new_test_indices)
-    else:
-        eval_cuts, new_cuts = eval_gold, new_gold
     external = any(s.name == "external" for s in sids)
     with TemporaryDirectory(prefix="morphsplit-cell-") if external else nullcontext() as tmp:
         for mi, sid in enumerate(sids):
@@ -386,8 +376,8 @@ def compute_cell(corpus: Corpus, cell: GridCell, config: RunConfig) -> dict:
                     workdir=None if tmp is None else Path(tmp) / f"m{mi}k{k}",
                     table=shared,
                 )
-                pred_eval = segment_corpus(model, eval_surfaces)
-                pred_new = segment_corpus(model, new_surfaces)
+                pred_eval = segment_corpus(model, eval_cuts.surfaces)
+                pred_new = segment_corpus(model, new_cuts.surfaces)
                 for variant in F1_VARIANTS:
                     per_seed[f"{variant}_eval"].append(
                         corpus_f1(eval_cuts, pred_eval, variant, config.f1_average)

@@ -204,10 +204,10 @@ class TestCodecProperties:
 
 
 class TestManyWordCodec:
-    """``label_starts`` and ``start_labels`` apply the one-word codec's
+    """``decode_starts`` and ``encode_starts`` apply the one-word codec's
     rules to many words at once."""
 
-    def test_label_starts_equals_decode_labels_on_every_short_sequence(self):
+    def test_decode_starts_equals_decode_labels_on_every_short_sequence(self):
         sequences = [
             seq for n in range(1, 6) for seq in itertools.product(list(Label), repeat=n)
         ]
@@ -215,7 +215,7 @@ class TestManyWordCodec:
         labels = np.array([lab for seq in sequences for lab in seq], dtype=np.int64)
         lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
         surfaces = ["abcde"[:n] for n in lengths.tolist()]
-        slots = np.append(C.label_starts(labels, lengths), True)
+        slots = np.append(C.decode_starts(labels, lengths), True)
         got = C.Segmentations.from_slots(surfaces, lengths.tolist(), slots)
         want = [
             C.decode_labels(s, (Label.START, *seq, Label.END)) for s, seq in zip(surfaces, sequences)
@@ -223,10 +223,10 @@ class TestManyWordCodec:
         assert [w.cuts for w in got] == [w.cuts for w in want]
 
     @given(st.lists(words_strategy, min_size=1, max_size=6))
-    def test_start_labels_equals_interior_labels(self, words):
+    def test_encode_starts_equals_interior_labels(self, words):
         starts = C.cut_slots(words)[:-1]
         want = [lab for w in words for lab in C.interior_labels(w)]
-        assert C.start_labels(starts).tolist() == want
+        assert C.encode_starts(starts).tolist() == want
 
 
 class TestWordTable:
