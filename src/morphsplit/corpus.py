@@ -388,8 +388,9 @@ class WordTable:
     positions of the words are laid end to end, word ``r`` at
     ``ptr[r]:ptr[r + 1]``. A table of segmented words also holds their gold
     cuts, as one slot per position and one after the last (see
-    :func:`cut_slots`), and their morpheme :attr:`vocabulary`, whose piece
-    ids it finds for a row on first use (:meth:`pieces`).
+    :func:`cut_slots`), and their morpheme :attr:`vocabulary`; the
+    morphemes among a row's pieces are found on the row's first use
+    (:meth:`pieces`).
     """
 
     def __init__(self, words: Iterable[str | SegmentedWord]) -> None:
@@ -406,7 +407,7 @@ class WordTable:
         segmented = bool(kept) and not any(isinstance(w, str) for w in kept)
         self.words: tuple[SegmentedWord, ...] | None = tuple(kept) if segmented else None
         self._slots = cut_slots(kept) if segmented else None
-        self._pieces: dict[int, list[list[int]]] = {}
+        self._pieces: dict[int, list[list[tuple[int, int]]]] = {}
 
     def rows(self, surfaces: Iterable[str]) -> np.ndarray | None:
         """The row of each surface, or None when one is not in the table."""
@@ -441,8 +442,8 @@ class WordTable:
     def vocabulary(self) -> Vocabulary:
         return Vocabulary(m for w in self.words for m in w.morphemes)
 
-    def pieces(self, row: int) -> list[list[int]]:
-        """The vocabulary's piece ids of the word at ``row``."""
+    def pieces(self, row: int) -> list[list[tuple[int, int]]]:
+        """:meth:`Vocabulary.pieces` of the word at ``row``."""
         pieces = self._pieces.get(row)
         if pieces is None:
             pieces = self._pieces[row] = self.vocabulary.pieces(self.graphemes[row])

@@ -149,8 +149,8 @@ def _found_in_both(gold: int, pred: int, variant: str) -> int:
         return both
     either = gold | pred
     gaps = either ^ ((1 << either.bit_length()) - 1)
-    # one's bit after each cut of one side only, carried over the gaps,
-    # lands on the next cut: a morpheme that one side lacks ends there
+    # a bit put just after each cut that only one side has carries over
+    # the gaps to the next cut: the morpheme ending there is one side's only
     lacked = (gaps + ((either ^ both) << 1)) & either
     return both & ~lacked
 
