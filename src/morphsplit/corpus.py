@@ -409,6 +409,9 @@ class WordTable:
         self._slots = cut_slots(kept) if segmented else None
         self._pieces: dict[int, list[list[tuple[int, int]]]] = {}
 
+    def __repr__(self) -> str:
+        return f"WordTable({len(self.surfaces)} words)"
+
     def rows(self, surfaces: Iterable[str]) -> np.ndarray | None:
         """The row of each surface, or None when one is not in the table."""
         row = self.row

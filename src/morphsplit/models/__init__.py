@@ -1,7 +1,8 @@
 """Segmentation model suite: CRF, three baselines, and an external adapter.
 
-Every model exposes ``segment(surface) -> SegmentedWord``; batch-capable
-models additionally expose ``segment_batch``. ``train_segmenter`` is the
+Every model exposes ``segment(surface) -> SegmentedWord`` and
+``segment_batch``; the builtin models' batches are
+:class:`~morphsplit.corpus.Segmentations`. ``train_segmenter`` is the
 uniform entry point keyed by :class:`SegmenterId`.
 """
 

@@ -125,6 +125,10 @@ TIE_CASES = {
     "long_oov_tie_fewer": ({"ab": 0.0}, -3.0, "abqrstu", ("abqrstu",)),
     # two long OOV final pieces tie in score and count: the earliest wins
     "long_oov_tie_earliest": ({"a": 1.0, "ab": 1.0}, -3.0, "abqrst", ("a", "bqrst")),
+    # a|bcd and ab|cd tie in score and count, one ending in an unknown
+    # piece and the other in a morpheme: the earliest split wins either way
+    "oov_before_morpheme": ({"a": 1.0, "ab": 0.0, "cd": -3.0}, -4.0, "abcd", ("a", "bcd")),
+    "morpheme_before_oov": ({"a": 1.0, "ab": 2.0, "bcd": -4.0}, -5.0, "abcd", ("a", "bcd")),
     # graphemes of two code points: e\u0301|ta and e\u0301t|a tie in score
     # and count, and the first cut is one grapheme in
     "clusters": ({"e\u0301": -1.0, "ta": -1.0, "e\u0301t": -1.0, "a": -1.0},
