@@ -169,6 +169,26 @@ def _check_range(T: np.ndarray) -> None:
         )
 
 
+# numpy reduces a six-wide last axis many times slower than it combines six
+# columns. Chaining the columns gives the same bits: a maximum is exact,
+# and a.sum(axis=1) adds six terms left to right, as these chains do
+# (tests/test_crf.py pins both).
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=1)`` of an (n, 6) array."""
+    out = np.maximum(a[:, 0], a[:, 1])
+    for j in range(2, N_LABELS):
+        np.maximum(out, a[:, j], out=out)
+    return out
+
+
+def _row_sum(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=1)`` of an (n, 6) array, into ``out``."""
+    np.add(a[:, 0], a[:, 1], out=out)
+    for j in range(2, N_LABELS):
+        out += a[:, j]
+    return out
+
+
 def _forward(E: np.ndarray, T: np.ndarray, batch: _Batch):
     """Scaled forward pass over the layout rows of ``batch``.
 
@@ -181,7 +201,7 @@ def _forward(E: np.ndarray, T: np.ndarray, batch: _Batch):
     """
     _check_range(T)
     A = np.exp(T - T.max())
-    m = E.max(axis=1)
+    m = _row_max(E)
     P = np.exp(E - m[:, None])
     alpha = np.empty_like(P)
     c = np.empty(len(P))
@@ -194,7 +214,7 @@ def _forward(E: np.ndarray, T: np.ndarray, batch: _Batch):
         else:
             np.matmul(alpha[off[i - 1]:off[i - 1] + k], A, out=a)
             a *= P[s:e]
-        a.sum(axis=1, out=c[s:e])
+        _row_sum(a, out=c[s:e])
         a /= c[s:e, None]
     c_end = alpha[batch.last] @ A[:, END_ID]
     return A, P, alpha, c, c_end, m

@@ -58,13 +58,8 @@ def extract_features(
         raise ContractError(
             f"position {position} out of range for {surface!r} ({n_g} graphemes)"
         )
-    lo, hi = _window(position, n_g, template)
+    lo, hi = max(0, position - template.window), min(n_g, position + template.window + 1)
     return _window_features(g[lo:hi], position - lo, position == 0, position == n_g - 1, template)
-
-
-def _window(position: int, n_g: int, template: FeatureTemplate) -> tuple[int, int]:
-    """The graphemes [lo, hi) within ``template.window`` of ``position``."""
-    return max(0, position - template.window), min(n_g, position + template.window + 1)
 
 
 def _window_features(
@@ -98,16 +93,69 @@ def design_matrix(ids: np.ndarray, ptr: np.ndarray, n_features: int) -> sparse.c
     )
 
 
+def _occurrences(
+    words: WordTable, template: FeatureTemplate
+) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """(pos, feature, names): every feature occurrence of the positions of
+    ``words``, laid end to end, as its position and an index into
+    ``names``.
+
+    A feature is an (offset, n, n-gram) triple, or a position flag, and is
+    named once. Graphemes become integer codes, and each n-gram id pairs an
+    (n - 1)-gram id with the next grapheme's code through ``np.unique``, so
+    ids stay below the position count whatever ``max_ngram`` is. Two
+    features may share a name when grapheme clusters concatenate alike.
+    """
+    flat = list(chain.from_iterable(words.graphemes))
+    codes = {g: i for i, g in enumerate(dict.fromkeys(flat))}
+    code = np.fromiter(map(codes.__getitem__, flat), dtype=np.int64, count=len(flat))
+    # graphemes before and after each position within its word
+    lengths = words.lengths
+    before = np.arange(len(flat), dtype=np.int64) - np.repeat(words.ptr[:-1], lengths)
+    after = np.repeat(lengths, lengths) - before - 1
+    w, longest = template.window, int(lengths.max(initial=0))
+    pos, feature, names = [], [], []
+    ids, text = code, list(codes)
+    for n in range(1, min(template.max_ngram, 2 * w + 1) + 1):
+        if n > 1:
+            # the n-grams that fit in their word, by start
+            starts = np.flatnonzero(after >= n - 1)
+            if not len(starts):
+                break
+            _, first, inverse = np.unique(
+                ids[starts] * len(codes) + code[starts + n - 1],
+                return_index=True, return_inverse=True,
+            )
+            ids = np.full(len(flat), -1, dtype=np.int64)
+            ids[starts] = inverse
+            text = ["".join(flat[s:s + n]) for s in starts[first].tolist()]
+        # every offset at which some word has the n-gram inside the window
+        for d in range(max(-w, 1 - longest), min(w + 1, longest) - n + 1):
+            at = np.flatnonzero((before >= -d) & (after >= d + n - 1))
+            grams, inverse = np.unique(ids[at + d], return_inverse=True)
+            pos.append(at)
+            feature.append(inverse + len(names))
+            names += [f"ng{d:+d}:{text[i]}" for i in grams.tolist()]
+    if template.include_position_flags:
+        for flag, at in (("BOS", before == 0), ("EOS", after == 0)):
+            at = np.flatnonzero(at)
+            if len(at):
+                pos.append(at)
+                feature.append(np.full(len(at), len(names), dtype=np.int64))
+                names.append(flag)
+    empty = np.zeros(0, dtype=np.int64)
+    return np.concatenate([empty, *pos]), np.concatenate([empty, *feature]), names
+
+
 class FeatureTable(WordTable):
     """A word table that also holds the features of every position, as
     integer ranks.
 
     Feature names are ranked in sorted order (``names[r]``), and each
-    position's ranks are stored ascending, CSR by word and position. A
-    position's features depend only on its clipped window, its offset in
-    the window and whether it is the first or last grapheme of its word
-    (with ``window=0`` the offset cannot show the word edges), so each
-    distinct key is extracted once.
+    position's ranks are stored ascending, CSR by word and position. The
+    features are found with array operations on integer grapheme codes
+    (:func:`_occurrences`), and each distinct one is named once; the
+    names equal :func:`extract_features`'s.
 
     Gap features (``gap_features`` in ``baselines``) are ranks in a space
     of ``1 + 2 * V`` derived from the same ranks: ``BIAS`` is 0, ``L:f`` is
@@ -118,25 +166,18 @@ class FeatureTable(WordTable):
     def __init__(self, words: Iterable[str | SegmentedWord], template: FeatureTemplate) -> None:
         super().__init__(words)
         self.template = template
-        keys: dict[tuple, int] = {}
-        key_of_position = []
-        for g in self.graphemes:
-            n_g = len(g)
-            for p in range(n_g):
-                lo, hi = _window(p, n_g, template)
-                key = (g[lo:hi], p - lo, p == 0, p == n_g - 1)
-                key_of_position.append(keys.setdefault(key, len(keys)))
-        key_feats = [_window_features(*key, template) for key in keys]
-        self.names: tuple[str, ...] = tuple(sorted(set().union(*key_feats)))
+        pos, feature, names = _occurrences(self, template)
+        self.names: tuple[str, ...] = tuple(sorted(set(names)))
         rank = {f: r for r, f in enumerate(self.names)}
-        key_ranks = [sorted(rank[f] for f in feats) for feats in key_feats]
-        key_len = np.fromiter(map(len, key_ranks), dtype=np.int64, count=len(key_ranks))
-        flat = np.fromiter(chain.from_iterable(key_ranks), dtype=np.int64, count=key_len.sum())
-        key_ptr = _ptr(key_len)
-        kp = np.asarray(key_of_position, dtype=np.int64)
-        counts = key_len[kp]
-        self._ranks = flat[concat_ranges(key_ptr[kp], counts)]
-        self._pos_ptr = _ptr(counts)
+        feature_rank = np.fromiter(map(rank.__getitem__, names), dtype=np.int64, count=len(names))
+        # one key per (position, rank): sorting orders each position's
+        # ranks, and of two n-grams that share a name one is kept (a sort
+        # and a neighbour test: np.unique hashes first, many times slower)
+        V = max(len(self.names), 1)
+        key = np.sort(pos * V + feature_rank[feature])
+        key = key[np.append(True, key[1:] != key[:-1])] if len(key) else key
+        self._ranks = key % V
+        self._pos_ptr = _ptr(np.bincount(key // V, minlength=int(self.ptr[-1])))
 
     def __repr__(self) -> str:
         return f"FeatureTable({len(self.surfaces)} words, {len(self.names)} features, {self.template})"

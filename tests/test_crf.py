@@ -1,8 +1,10 @@
 """Linear-chain CRF: partition function, gradients, decoding, training."""
 
+import hashlib
 import itertools
 import logging
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,12 +17,14 @@ from morphsplit.corpus import (
     SyntheticSpec,
     decode_labels,
     encode_labels,
+    encode_starts,
     generate_synthetic_corpus,
     graphemes,
 )
 from morphsplit.errors import DomainError, TrainingError, ValidationError
 from morphsplit.models import (
     CrfModel,
+    FeatureTable,
     FeatureTemplate,
     TrainConfig,
     crf_gradient,
@@ -29,7 +33,9 @@ from morphsplit.models import (
     train_crf,
     viterbi_raw,
 )
+from morphsplit.models import crf as C
 from morphsplit.models.crf import MAX_TRANSITION_SPREAD
+from morphsplit.splitter import ExperimentPlan, build_grid
 
 SMALL = FeatureTemplate(max_ngram=2, window=1)
 
@@ -564,6 +570,92 @@ class TestTraining:
                 template=SMALL,
                 l2_lambda=0.0,
             )
+
+
+# Rows whose six terms sum differently in another order: left to right the
+# first is 1e16 (each 1 is lost), added right to left it is 1e16 + 2; the
+# second is 1 left to right and 0 added in pairs.
+ORDER_SENSITIVE_ROWS = np.array([
+    [1e16, 1.0, 1.0, 0.0, 0.0, 0.0],
+    [1.0, 1e16, -1e16, 1.0, 0.0, 0.0],
+    [0.1, 0.2, 0.3, 1e-17, 0.4, 1e-300],
+])
+
+
+def left_to_right(row):
+    total = row[0]
+    for x in row[1:]:
+        total += x
+    return total
+
+
+class TestSixColumnReductions:
+    """The forward pass reduces its (n, 6) arrays column by column; the
+    result must be the bits numpy's axis=1 reductions give, or the saved
+    model bytes move."""
+
+    def rows(self):
+        rng = np.random.default_rng(3)
+        return np.concatenate([ORDER_SENSITIVE_ROWS, rng.standard_normal((200, 6)),
+                               np.exp(rng.normal(scale=30.0, size=(200, 6)))])
+
+    def test_rows_tell_the_orders_apart(self):
+        first, second = ORDER_SENSITIVE_ROWS[:2].tolist()
+        assert left_to_right(first) != left_to_right(first[::-1])
+        assert left_to_right(second) != (second[0] + second[1]) + (second[2] + second[3])
+
+    def test_row_sum_is_numpys_left_to_right_sum(self):
+        a = self.rows()
+        out = np.empty(len(a))
+        assert C._row_sum(a, out=out) is out
+        assert np.array_equal(out, a.sum(axis=1))
+        assert out.tolist() == [left_to_right(r) for r in a.tolist()]
+
+    def test_row_sum_of_a_slice(self):
+        a = self.rows()
+        out = np.empty(100)
+        C._row_sum(a[1:101], out=out)
+        assert np.array_equal(out, a[1:101].sum(axis=1))
+
+    def test_row_max_is_numpys_max(self):
+        a = self.rows()
+        assert np.array_equal(C._row_max(a), a.max(axis=1))
+        assert np.array_equal(C._row_max(-a), (-a).max(axis=1))
+
+
+def train_cells_batch():
+    """The CRF training batch of the first cell of perfbench's train-cells
+    workload at seed 0: 288 words, 1,960 positions."""
+    corpus = generate_synthetic_corpus(SyntheticSpec(400, 30, 8, seed=0))
+    plan = ExperimentPlan(
+        new_test_fractions=(Fraction(1, 5),), samples_per_fraction=1, residual_splits=2,
+        new_test_generation="random", master_seed=0, adversarial_budget=2000,
+    )
+    cell = build_grid(corpus, plan, "random")[0]
+    table = FeatureTable(corpus, FeatureTemplate())
+    train = corpus.subset(cell.train_indices)
+    model, starts, features = CrfModel.untrained(train, None, 0.1, table)
+    n = len(model.feature_index)
+    return C._Batch(*features, n, encode_starts(starts)), n
+
+
+@pytest.mark.parametrize(
+    "scale, objective, grad_sha256",
+    [
+        (0.0, 12.193918610024262,
+         "c9e3ae5368f895f948818d9195051df8e940fe20a55cf23621eb022974647b74"),
+        (0.1, 16.112424950343506,
+         "4ccecf337e12029b1fb063588fafc2bf88907109e79ffbc91f3873d2e4880dbf"),
+    ],
+)
+def test_objective_and_gradient_bits_are_pinned(scale, objective, grad_sha256):
+    """Pinned before the forward pass reduced column by column."""
+    batch, n = train_cells_batch()
+    assert batch.X.shape == (1960, n)
+    weights = np.random.default_rng(0).normal(scale=scale, size=n * 6 + 36)
+    f, grad = C._objective_and_grad(weights, batch, n, 0.1)
+    assert f == objective
+    assert hashlib.sha256(grad.tobytes()).hexdigest() == grad_sha256
 
 
 class TestMinimize:

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morphsplit.corpus import Corpus, SegmentedWord, SyntheticSpec, generate_synthetic_corpus, graphemes
 from morphsplit.errors import ContractError, ValidationError
@@ -167,25 +169,13 @@ class TestFeatureTable:
         assert table.rows(["ab", "zz"]) is None
 
     @pytest.mark.parametrize("window", [0, 2])
-    def test_extracts_once_per_distinct_window_key(self, window, monkeypatch):
+    def test_table_build_makes_no_per_key_extraction(self, window, monkeypatch):
         calls = []
-
-        def counted(*key, _extract=F._window_features):
-            calls.append(key[:4])
-            return _extract(*key)
-
-        monkeypatch.setattr(F, "_window_features", counted)
+        monkeypatch.setattr(F, "_window_features", lambda *key: calls.append(key))
         words = [w.surface for w in generate_synthetic_corpus(SyntheticSpec(200, 20, 6, seed=5))]
-        template = FeatureTemplate(window=window)
-        FeatureTable(words, template)
-        keys = set()
-        for s in words:
-            g = graphemes(s)
-            for p in range(len(g)):
-                lo, hi = max(0, p - window), min(len(g), p + window + 1)
-                keys.add((g[lo:hi], p - lo, p == 0, p == len(g) - 1))
-        assert len(calls) == len(set(calls)) == len(keys)
-        assert len(keys) < sum(len(graphemes(s)) for s in words)
+        table = FeatureTable(words, FeatureTemplate(window=window))
+        assert calls == []
+        assert len(table.names) > 0
 
     def test_training_refuses_a_table_for_another_template(self):
         corpus = Corpus((SegmentedWord("ab", ("a", "b")),), "t")
@@ -193,6 +183,95 @@ class TestFeatureTable:
         with pytest.raises(ContractError):
             train_crf(corpus, template=FeatureTemplate(), table=table)
         assert train_crf(corpus, table=table).template == FeatureTemplate(window=1)
+
+
+def reference_table(surfaces, template):
+    """(names, position ranks, gap ranks) of the distinct ``surfaces`` from
+    the per-key extraction: each position's features through
+    ``_window_features``, every name ranked in sorted order."""
+    surfaces = list(dict.fromkeys(surfaces))
+    feats = []
+    for s in surfaces:
+        g = graphemes(s)
+        for p in range(len(g)):
+            lo, hi = max(0, p - template.window), min(len(g), p + template.window + 1)
+            feats.append(F._window_features(g[lo:hi], p - lo, p == 0, p == len(g) - 1, template))
+    names = sorted(set().union(*feats))
+    rank = {f: r for r, f in enumerate(names)}
+    positions = [sorted(rank[f] for f in fs) for fs in feats]
+    V = len(names)
+    gaps, start = [], 0
+    for s in surfaces:
+        n = len(graphemes(s))
+        for left, right in zip(positions[start:start + n], positions[start + 1:start + n]):
+            gaps.append([0, *(1 + r for r in left), *(1 + V + r for r in right)])
+        start += n
+    return names, positions, gaps
+
+
+def csr_lists(ranks, ptr):
+    return [ranks[a:b].tolist() for a, b in zip(ptr.tolist(), ptr[1:].tolist())]
+
+
+def check_against_reference(surfaces, template):
+    table = FeatureTable(surfaces, template)
+    names, positions, gaps = reference_table(surfaces, template)
+    rows = np.arange(len(table.surfaces), dtype=np.int64)
+    assert list(table.names) == names
+    assert csr_lists(*table.position_ranks(rows)) == positions
+    assert csr_lists(*table.gap_ranks(rows)) == gaps
+
+
+# Grapheme pieces: plain letters; combining marks, which join the letter
+# before them into one cluster (and stand alone at a word's start); and
+# clusters of several code points: CRLF, a flag, a ZWJ emoji sequence, a
+# Hangul syllable spelled in jamo, a prepend mark.
+PIECES = (
+    "a", "b", "o", "z", "\u0301", "\u0308", "e\u0301", "\r\n",
+    "\U0001F1EB\U0001F1F7", "\U0001F469\u200d\U0001F4BB", "\u1100\u1161\u11a8",
+    "\u0600", "\u0600a",
+)
+words_st = st.lists(st.sampled_from(PIECES), min_size=1, max_size=9).map("".join)
+
+
+class TestTableEquivalence:
+    """The table built from integer grapheme codes equals the per-key
+    reference extraction: names, position ranks and gap ranks."""
+
+    @pytest.mark.parametrize(
+        "template",
+        [FeatureTemplate(n, w, flags)
+         for n, w, flags in itertools.product((1, 2, 3, 4), (0, 1, 2, 3), (True, False))],
+        ids=str,
+    )
+    @settings(max_examples=10, deadline=None)
+    @given(st.lists(words_st, max_size=12))
+    def test_random_words(self, template, surfaces):
+        check_against_reference(surfaces, template)
+
+    @pytest.mark.parametrize("template", TEMPLATES, ids=str)
+    def test_no_words(self, template):
+        table = FeatureTable([], template)
+        assert table.names == ()
+        check_against_reference([], template)
+
+    @pytest.mark.parametrize("template", TEMPLATES, ids=str)
+    def test_one_grapheme_words(self, template):
+        check_against_reference(["a", "e\u0301", "\r\n", "\u0301", "b"], template)
+
+    def test_codes_past_int64_for_a_base_g_ngram(self):
+        """8-grams over 3,000 graphemes: a base-3000 code of an 8-gram would
+        need 93 bits, the paired ids stay below the position count."""
+        rng = np.random.default_rng(0)
+        alphabet = [chr(0x4E00 + i) for i in range(3000)]
+        letters = np.concatenate([rng.permutation(3000), rng.integers(0, 3000, 1200)])
+        lengths = rng.integers(1, 13, size=600)
+        cuts = np.cumsum(lengths)
+        surfaces = ["".join(alphabet[i] for i in part)
+                    for part in np.split(letters, cuts[cuts < len(letters)]) if len(part)]
+        assert len({g for s in surfaces for g in s}) == 3000
+        assert 3000 ** 8 > 2 ** 63
+        check_against_reference(surfaces, FeatureTemplate(max_ngram=8, window=4))
 
 
 def saved_bytes(model, path):
