@@ -32,6 +32,7 @@ from .errors import ConfigError, MorphsplitError, ParseError
 from .evaluation import F1_VARIANTS, AVERAGES, corpus_f1
 from .models import (
     OPTIMIZERS,
+    UNIGRAM_SMOOTHING,
     FeatureTemplate,
     SegmenterId,
     TrainConfig,
@@ -338,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
                      default=TrainConfig.convergence_tol)
     sub.add_argument("--l2-lambda", type=float, default=TrainConfig.l2_lambda)
     sub.add_argument("--seed", type=int, default=TrainConfig.seed)
-    sub.add_argument("--smoothing", type=float, default=0.1)
+    sub.add_argument("--smoothing", type=float, default=UNIGRAM_SMOOTHING)
     sub.add_argument("--workdir", help="working directory (external models)")
     sub.set_defaults(func=_cmd_train)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
 import regex
@@ -351,6 +351,32 @@ class Segmentations(Sequence[SegmentedWord]):
 
     def __repr__(self) -> str:
         return f"Segmentations({list(self)!r})"
+
+
+def surface_list(surfaces: Iterable[str]) -> list[str]:
+    """``surfaces`` as a list; an empty surface is a :class:`DomainError`."""
+    surfaces = list(surfaces)
+    if not all(surfaces):
+        raise DomainError("surface must be non-empty")
+    return surfaces
+
+
+class Segmenter:
+    """A segmentation model: what every model of the suite is.
+
+    Subclasses set ``KIND``, the ``kind`` they are saved under, and
+    ``_segment``, which segments a non-empty list of non-empty surfaces.
+    """
+
+    KIND: ClassVar[str]
+
+    def segment(self, surface: str) -> SegmentedWord:
+        return self.segment_batch([surface])[0]
+
+    def segment_batch(self, surfaces: Iterable[str]) -> Segmentations:
+        """Segment every surface; an empty surface is a :class:`DomainError`."""
+        surfaces = surface_list(surfaces)
+        return self._segment(surfaces) if surfaces else Segmentations.of([])
 
 
 class Vocabulary:

@@ -334,7 +334,8 @@ def generalization_gap(
     return out
 
 
-def _population_sigma(values: Sequence[float]) -> float:
+def population_sigma(values: Sequence[float]) -> float:
+    """Population standard deviation of ``values``; 0.0 for one value."""
     mean = sum(values) / len(values)
     return math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
 
@@ -361,7 +362,7 @@ def score_variability(
         )
     models = cells[0].models()
     return {
-        m: _population_sigma([c.scores(variant, "new")[m].f1 for c in cells])
+        m: population_sigma([c.scores(variant, "new")[m].f1 for c in cells])
         for m in models
     }
 
@@ -396,7 +397,7 @@ def aggregate_rows(
                     "mean_new_f1": sum(news) / len(news),
                     "mean_abs_gap": gaps[m].absolute,
                     "consistency": consistency,
-                    "sigma": _population_sigma(news),
+                    "sigma": population_sigma(news),
                 }
             )
     return rows

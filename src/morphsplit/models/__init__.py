@@ -1,7 +1,7 @@
 """Segmentation model suite: CRF, three baselines, and an external adapter.
 
-Every model exposes ``segment(surface) -> SegmentedWord`` and
-``segment_batch``; the builtin models' batches are
+Every model is a :class:`~morphsplit.corpus.Segmenter`: ``segment(surface)
+-> SegmentedWord``, and ``segment_batch`` to
 :class:`~morphsplit.corpus.Segmentations`. ``train_segmenter`` is the
 uniform entry point keyed by :class:`SegmenterId`.
 """
@@ -9,14 +9,14 @@ uniform entry point keyed by :class:`SegmenterId`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, Sequence, runtime_checkable
 
-from ..corpus import Corpus, SegmentedWord, WordTable
+from ..corpus import Corpus, Segmentations, Segmenter, WordTable
 from ..errors import ConfigError, ContractError
 from ..records import DECODE_ERRORS
 from .baselines import (
+    UNIGRAM_SMOOTHING,
     BoundaryLogisticModel,
     LongestMatchModel,
     UnigramModel,
@@ -37,20 +37,11 @@ from .external import ExternalModel, external_segment, train_external
 from .features import FeatureTable, FeatureTemplate, LinearFeatureModel, extract_features
 from .optim import LBFGS_MEMORY, OPTIMIZERS, OptimResult, TrainConfig, minimize
 
-BUILTIN_SEGMENTERS = ("boundary_logistic", "crf", "longest_match", "unigram_viterbi")
-
 _MODEL_CLASSES = {
-    "crf": CrfModel,
-    "unigram_viterbi": UnigramModel,
-    "boundary_logistic": BoundaryLogisticModel,
-    "longest_match": LongestMatchModel,
-    "external": ExternalModel,
+    cls.KIND: cls
+    for cls in (CrfModel, UnigramModel, BoundaryLogisticModel, LongestMatchModel, ExternalModel)
 }
-
-
-@runtime_checkable
-class Segmenter(Protocol):
-    def segment(self, surface: str) -> SegmentedWord: ...
+BUILTIN_SEGMENTERS = tuple(sorted(_MODEL_CLASSES.keys() - {ExternalModel.KIND}))
 
 
 @dataclass(frozen=True)
@@ -102,7 +93,7 @@ def train_segmenter(
     corpus: Corpus,
     template: FeatureTemplate | None = None,
     config: TrainConfig | None = None,
-    unigram_smoothing: float = 0.1,
+    unigram_smoothing: float = UNIGRAM_SMOOTHING,
     workdir: str | Path | None = None,
     table: WordTable | None = None,
 ):
@@ -112,8 +103,8 @@ def train_segmenter(
     unigram model takes ``unigram_smoothing``; the external adapter needs
     ``workdir`` to hold its train file. A shared ``table`` of the corpus's
     words reaches every builtin model; the feature-based ones need a
-    :class:`FeatureTable`. The boundary classifier is defined as
-    gradient-descent trained, so ``config.optimizer`` governs the CRF only.
+    :class:`FeatureTable`. ``config.optimizer`` governs the CRF only: the
+    boundary classifier is gradient-descent trained.
     """
     if isinstance(segmenter, str):
         segmenter = SegmenterId.parse(segmenter)
@@ -122,8 +113,6 @@ def train_segmenter(
     if segmenter.name == "unigram_viterbi":
         return train_unigram_viterbi(corpus, smoothing=unigram_smoothing, table=table)
     if segmenter.name == "boundary_logistic":
-        if config is not None:
-            config = replace(config, optimizer="gradient_descent")
         return train_boundary_logistic(corpus, template=template, config=config, table=table)
     if segmenter.name == "longest_match":
         return train_longest_match(corpus, table=table)
@@ -133,13 +122,9 @@ def train_segmenter(
     return train_external(corpus, segmenter.command, workdir, seed=seed)
 
 
-def segment_corpus(model: Segmenter, surfaces) -> Sequence[SegmentedWord]:
-    """Segment every surface, using the batch path when the model has one;
-    the builtin models return :class:`Segmentations`."""
-    batch = getattr(model, "segment_batch", None)
-    if batch is not None:
-        return batch(list(surfaces))
-    return [model.segment(s) for s in surfaces]
+def segment_corpus(model: Segmenter, surfaces) -> Segmentations:
+    """Segment every surface in one batch."""
+    return model.segment_batch(surfaces)
 
 
 def save_model(model, path: str | Path) -> None:
@@ -182,6 +167,7 @@ __all__ = [
     "Segmenter",
     "SegmenterId",
     "TrainConfig",
+    "UNIGRAM_SMOOTHING",
     "UnigramModel",
     "crf_gradient",
     "crf_log_partition",

@@ -1,8 +1,7 @@
 """Three lightweight segmentation baselines.
 
-All three expose ``segment(surface) -> SegmentedWord`` and
-``segment_batch(surfaces) -> Segmentations``, and always honor the
-concatenation invariant by construction.
+All three are :class:`~morphsplit.corpus.Segmenter` models and always
+honor the concatenation invariant by construction.
 """
 
 from __future__ import annotations
@@ -15,8 +14,8 @@ import numpy as np
 
 from ..corpus import (
     Corpus,
-    SegmentedWord,
     Segmentations,
+    Segmenter,
     Vocabulary,
     WordTable,
     cut_slots,
@@ -33,35 +32,32 @@ from .features import (
 from .optim import TrainConfig, minimize
 
 
-class _PieceModel:
+UNIGRAM_SMOOTHING = 0.1
+
+
+class _PieceModel(Segmenter):
     """A model that segments each word from the morphemes among its pieces
     (:meth:`Vocabulary.pieces`), one word at a time.
 
-    A word in the model's ``table`` takes the table's pieces, found once
-    per row; any other word is looked up in the model's own vocabulary.
-    Subclasses give the value of each vocabulary id (``_values``) and the
-    cuts of a word from its pieces and those values (``_cuts``).
+    Words are looked up in one vocabulary: the ``table``'s when the model
+    was trained through one, else its own; a word in the table takes its
+    pieces, found once per row. Subclasses give the value of each
+    vocabulary id (``_values``), an unknown piece's for a morpheme the
+    model lacks, and the cuts of a word from its pieces and those values
+    (``_cuts``).
     """
 
     table: WordTable | None
 
-    def segment(self, surface: str) -> SegmentedWord:
-        return self.segment_batch([surface])[0]
-
-    def segment_batch(self, surfaces) -> Segmentations:
+    def _segment(self, surfaces: list[str]) -> Segmentations:
         """Segment every surface, one at a time."""
-        surfaces = list(surfaces)
         table, cuts_of = self.table, self._cuts
+        vocabulary, values = self._lookup
         row = table.row if table is not None else {}
         at, lengths, offset = [], [], 0
         for surface in surfaces:
             r = row.get(surface)
-            if r is None:
-                pieces, values = self._own.pieces(graphemes(surface)), self._own_values
-            else:
-                pieces, values = table.pieces(r), self._table_values
-            if not pieces:
-                raise DomainError("surface must be non-empty")
+            pieces = vocabulary.pieces(graphemes(surface)) if r is None else table.pieces(r)
             at.extend([offset + cut for cut in cuts_of(pieces, values)])
             lengths.append(len(pieces))
             offset += len(pieces)
@@ -71,16 +67,11 @@ class _PieceModel:
         return Segmentations.from_slots(surfaces, lengths, slots)
 
     @cached_property
-    def _own(self) -> Vocabulary:
-        return Vocabulary(sorted(self._morphemes()))
-
-    @cached_property
-    def _own_values(self) -> list:
-        return self._values(self._own)
-
-    @cached_property
-    def _table_values(self) -> list:
-        return self._values(self.table.vocabulary)
+    def _lookup(self) -> tuple[Vocabulary, list]:
+        """The model's vocabulary and the value of each of its ids."""
+        vocabulary = (self.table.vocabulary if self.table is not None
+                      else Vocabulary(sorted(self._morphemes())))
+        return vocabulary, self._values(vocabulary)
 
 
 def _table_for(table: WordTable | None, morphemes) -> WordTable | None:
@@ -103,6 +94,8 @@ class UnigramModel(_PieceModel):
     ``table`` is the word table the model was trained through; it is not
     serialized.
     """
+
+    KIND = "unigram_viterbi"
 
     log_probs: dict[str, float]
     log_oov: float
@@ -162,7 +155,7 @@ class UnigramModel(_PieceModel):
 
     def to_dict(self) -> dict:
         return {
-            "kind": "unigram_viterbi",
+            "kind": self.KIND,
             "smoothing": float(self.smoothing),
             "log_oov": float(self.log_oov),
             "log_probs": {m: float(v) for m, v in sorted(self.log_probs.items())},
@@ -178,7 +171,7 @@ class UnigramModel(_PieceModel):
 
 
 def train_unigram_viterbi(
-    corpus: Corpus, smoothing: float = 0.1, table: WordTable | None = None
+    corpus: Corpus, smoothing: float = UNIGRAM_SMOOTHING, table: WordTable | None = None
 ) -> UnigramModel:
     """Estimate add-``smoothing`` unigram probabilities with an OOV class.
 
@@ -239,11 +232,8 @@ class BoundaryLogisticModel(LinearFeatureModel):
     KIND = "boundary_logistic"
     GAPS = True
 
-    def segment_batch(self, surfaces) -> Segmentations:
+    def _segment(self, surfaces: list[str]) -> Segmentations:
         """Segment every surface from one sparse product over all gaps."""
-        surfaces = list(surfaces)
-        if not all(surfaces):
-            raise DomainError("surface must be non-empty")
         ids, ptr, lengths = self.feature_ids(surfaces)
         starts = np.ones(int(lengths.sum()) + 1, dtype=bool)
         # sigma(z) > 0.5 iff z > 0; z == 0 stays unsplit
@@ -302,7 +292,8 @@ def train_boundary_logistic(
     config: TrainConfig | None = None,
     table: FeatureTable | None = None,
 ) -> BoundaryLogisticModel:
-    """Fit the per-gap boundary classifier by gradient descent.
+    """Fit the per-gap boundary classifier by gradient descent, whatever
+    ``config.optimizer`` says.
 
     The bias enters as an ordinary always-on BIAS feature and is regularized
     with everything else. A corpus with no gaps (all single-grapheme words)
@@ -310,7 +301,7 @@ def train_boundary_logistic(
     first occurrence over the gaps in corpus order, each gap's features by
     name. Words are featurized through ``table`` when it holds them all.
     """
-    config = config if config is not None else TrainConfig(optimizer="gradient_descent")
+    config = replace(config or TrainConfig(), optimizer="gradient_descent")
     model, starts, (ids, ptr, lengths) = BoundaryLogisticModel.untrained(
         corpus, template, config.l2_lambda, table
     )
@@ -334,6 +325,8 @@ class LongestMatchModel(_PieceModel):
     ``table`` is the word table the model was trained through; it is not
     serialized.
     """
+
+    KIND = "longest_match"
 
     lexicon: frozenset[str]
     table: WordTable | None = field(default=None, repr=False, compare=False)
@@ -362,7 +355,7 @@ class LongestMatchModel(_PieceModel):
         return cuts
 
     def to_dict(self) -> dict:
-        return {"kind": "longest_match", "lexicon": sorted(self.lexicon)}
+        return {"kind": self.KIND, "lexicon": sorted(self.lexicon)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "LongestMatchModel":

@@ -37,6 +37,7 @@ from ..corpus import (
     cut_slots,
     decode_starts,
     encode_starts,
+    surface_list,
 )
 from ..errors import DomainError, TrainingError
 # extract_features stays importable here: perfbench/tracing.py rebinds it
@@ -88,19 +89,19 @@ class CrfModel(LinearFeatureModel):
         n_f = len(self.feature_index)
         return self.weights[n_f * N_LABELS:].reshape(N_LABELS, N_LABELS)
 
+    def _batch(self, surfaces, gold: np.ndarray | None = None) -> _Batch:
+        """The :class:`_Batch` of ``surfaces``, with their ``gold`` labels
+        (word-major) when given; an empty surface is a :class:`DomainError`."""
+        return _Batch(*self.feature_ids(surface_list(surfaces)), len(self.feature_index), gold)
+
     def emissions(self, surface: str) -> np.ndarray:
         """Per-position label scores, shape (L, 6)."""
-        return _Batch(*self.feature_ids([surface]), len(self.feature_index)).X @ self.emission
+        return self._batch([surface]).X @ self.emission
 
-    def segment_batch(self, surfaces) -> Segmentations:
+    def _segment(self, surfaces: list[str]) -> Segmentations:
         """Viterbi-decode every surface in one pass over a length-sorted
         batch, and cut by :func:`decode_labels`'s rule."""
-        surfaces = list(surfaces)
-        if not all(surfaces):
-            raise DomainError("surface must be non-empty")
-        if not surfaces:
-            return Segmentations.of([])
-        batch = _Batch(*self.feature_ids(surfaces), len(self.feature_index))
+        batch = self._batch(surfaces)
         labels, _ = _viterbi(batch.X @ self.emission, self.transition, batch)
         by_word = np.empty_like(labels)
         by_word[batch.rows] = labels
@@ -271,9 +272,7 @@ def crf_log_partition(model: CrfModel, surface: str) -> float:
     Raises :class:`TrainingError` when the transition scores span more than
     ``MAX_TRANSITION_SPREAD`` nats.
     """
-    batch = _Batch(*model.feature_ids([surface]), len(model.feature_index))
-    if not batch.active:
-        raise DomainError("surface must be non-empty")
+    batch = model._batch([surface])
     E = batch.X @ model.emission
     T = model.transition
     _, _, _, c, c_end, m = _forward(E, T, batch)
@@ -292,10 +291,8 @@ def crf_gradient(model: CrfModel, batch) -> tuple[float, np.ndarray]:
     words = list(batch)
     if not words:
         raise DomainError("crf_gradient needs a non-empty batch")
-    n_features = len(model.feature_index)
-    gold = encode_starts(cut_slots(words)[:-1])
-    prepared = _Batch(*model.feature_ids(w.surface for w in words), n_features, gold)
-    return _objective_and_grad(model.weights, prepared, n_features, model.l2_lambda)
+    prepared = model._batch((w.surface for w in words), encode_starts(cut_slots(words)[:-1]))
+    return _objective_and_grad(model.weights, prepared, len(model.feature_index), model.l2_lambda)
 
 
 def _viterbi(E: np.ndarray, T: np.ndarray, batch: _Batch) -> tuple[np.ndarray, np.ndarray]:
@@ -335,9 +332,7 @@ def viterbi_raw(model: CrfModel, surface: str) -> tuple[tuple[Label, ...], float
     Ties break toward the lower label index at every argmax, so the
     all-zero-weight model returns the lexicographically first sequence.
     """
-    batch = _Batch(*model.feature_ids([surface]), len(model.feature_index))
-    if not batch.active:
-        raise DomainError("surface must be non-empty")
+    batch = model._batch([surface])
     labels, scores = _viterbi(batch.X @ model.emission, model.transition, batch)
     return tuple(Label(p) for p in labels.tolist()), float(scores[0])
 

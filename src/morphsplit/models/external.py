@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from ..corpus import Corpus, SegmentedWord, graphemes
+from ..corpus import Corpus, SegmentedWord, Segmentations, Segmenter, graphemes
 from ..errors import AdapterError, DomainError, ValidationError
 
 _BOUNDARY = "!"
@@ -133,25 +133,23 @@ def external_segment(
 
 
 @dataclass
-class ExternalModel:
+class ExternalModel(Segmenter):
     """Handle to an external segmenter: a command plus its train file."""
+
+    KIND = "external"
 
     command: str
     train_path: str
     seed: int | None = None
-    timeout: float | None = 600.0
 
-    def segment(self, surface: str) -> SegmentedWord:
-        return self.segment_batch([surface])[0]
-
-    def segment_batch(self, surfaces: Sequence[str]) -> list[SegmentedWord]:
-        return external_segment(
-            self.command, self.train_path, surfaces, seed=self.seed, timeout=self.timeout
+    def _segment(self, surfaces: list[str]) -> Segmentations:
+        return Segmentations.of(
+            external_segment(self.command, self.train_path, surfaces, seed=self.seed)
         )
 
     def to_dict(self) -> dict:
         return {
-            "kind": "external",
+            "kind": self.KIND,
             "command": self.command,
             "train_path": str(self.train_path),
             "seed": self.seed,

@@ -18,7 +18,7 @@ from typing import ClassVar, Iterable
 import numpy as np
 from scipy import sparse
 
-from ..corpus import SegmentedWord, WordTable, concat_ranges, cut_slots, graphemes
+from ..corpus import SegmentedWord, Segmenter, WordTable, concat_ranges, cut_slots, graphemes
 from ..errors import ContractError, DomainError, ValidationError
 from ..records import Record
 
@@ -267,15 +267,14 @@ def localize(ranks: np.ndarray, ptr: np.ndarray, local: np.ndarray) -> tuple[np.
 
 
 @dataclass
-class LinearFeatureModel:
+class LinearFeatureModel(Segmenter):
     """A weight vector over a feature index, featurized through a
     :class:`FeatureTable`.
 
-    Subclasses set ``KIND``, the ``kind`` they are saved under; ``GAPS``,
-    whether their features describe the gaps between graphemes (the table's
-    gap ranks) rather than the graphemes (its position ranks);
-    ``n_weights``, the weight count for an index size; and
-    ``segment_batch``.
+    Subclasses set what a :class:`Segmenter` sets; ``GAPS``, whether their
+    features describe the gaps between graphemes (the table's gap ranks)
+    rather than the graphemes (its position ranks); and ``n_weights``, the
+    weight count for an index size.
 
     ``table`` is the feature table the model was trained through and
     ``table_ids`` the model's feature id of each of its ranks (-1 where it
@@ -283,7 +282,6 @@ class LinearFeatureModel:
     featurized anew.
     """
 
-    KIND: ClassVar[str]
     GAPS: ClassVar[bool]
 
     feature_index: dict[str, int]
@@ -308,9 +306,6 @@ class LinearFeatureModel:
             )
         if not np.all(np.isfinite(self.weights)):
             raise ValidationError("weights must be finite")
-
-    def segment(self, surface: str) -> SegmentedWord:
-        return self.segment_batch([surface])[0]
 
     @classmethod
     def _rank_space(cls, table: FeatureTable, rows: np.ndarray):

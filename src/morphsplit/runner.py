@@ -63,11 +63,12 @@ from .evaluation import (
     corpus_f1,
     mean_triple,
     morpheme_overlap,
+    population_sigma,
     rank_models,
-    score_variability,
 )
 from .models import (
     BUILTIN_SEGMENTERS,
+    UNIGRAM_SMOOTHING,
     FeatureTable,
     FeatureTemplate,
     SegmenterId,
@@ -128,7 +129,7 @@ class RunConfig(Record):
     max_iterations: int = 200
     convergence_tol: float = 1e-6
     l2_lambda: float = 0.1
-    unigram_smoothing: float = 0.1
+    unigram_smoothing: float = UNIGRAM_SMOOTHING
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -642,16 +643,16 @@ def regression_records(records: Iterable[dict]) -> list[RegressionRecord]:
 def _regression_csvs(
     out: Path, language: str, records: list[dict], config: RunConfig
 ) -> tuple[list[Path], str | None]:
-    strategies = {rec["strategy"] for rec in records}
-    if len(strategies) < 2:
-        note = (
-            f"{language}: regression skipped (needs both residual strategy "
-            "levels, run includes one)"
-        )
-        return [], note
+    """Fit the language's regression and write its two files; a skipped fit
+    removes them, so none is left from an earlier fit."""
+    directory = out / "languages" / language
     try:
+        if len({rec["strategy"] for rec in records}) < 2:
+            raise DomainError("needs both residual strategy levels, run includes one")
         result = fit_regression(regression_records(records))
     except (DomainError, SingularityError) as exc:
+        for name in ("regression.csv", "regression_summary.csv"):
+            (directory / name).unlink(missing_ok=True)
         return [], f"{language}: regression skipped ({exc})"
     term_rows = [
         (row["term"], _g(row["beta"]), _g(row["se"]), _g(row["t"]),
@@ -660,12 +661,12 @@ def _regression_csvs(
     ]
     paths = [
         _write_csv(
-            out / "languages" / language / "regression.csv",
+            directory / "regression.csv",
             ("term", "beta", "se", "t", "p", "stars"),
             term_rows, comment=_provenance(config),
         ),
         _write_csv(
-            out / "languages" / language / "regression_summary.csv",
+            directory / "regression_summary.csv",
             ("language", "r_squared", "n", "dof"),
             [(language, _g(result.r_squared), result.n, result.dof)],
             comment=_provenance(config),
@@ -725,13 +726,8 @@ def _plots_data_csv(out: Path, results: list[CellResult], config: RunConfig) -> 
     rows = []
     for stratum in sorted(groups):
         cells = groups[stratum]
-        # a stratum of one cell has no spread
-        sigmas = (
-            score_variability(cells, stratum, config.f1_variant)
-            if len(cells) > 1
-            else dict.fromkeys(cells[0].models(), 0.0)
-        )
-        for m, sigma in sigmas.items():
+        for m in cells[0].models():
+            sigma = population_sigma([c.scores(config.f1_variant, "new")[m].f1 for c in cells])
             rows.append((_g(float(stratum[0])), stratum[1], m, _f(sigma)))
     return _write_csv(
         out / "plots_data.csv",
@@ -863,12 +859,15 @@ def _complete(ledger: RunLedger) -> RunLedger:
 
 
 def run_experiment(config: RunConfig) -> RunLedger:
-    """Execute the full grid into an emptied ``cells/`` (no artifact there is
-    this run's), then write the reports and the ledger. Cell failures are
-    recorded and skipped; the caller decides exit status from them.
+    """Execute the full grid, then write the reports and the ledger, into a
+    directory holding no artifact or report of an earlier run. Cell failures
+    are recorded and skipped; the caller decides exit status from them.
     """
     ledger = RunLedger(config=config, config_hash=config.config_hash(), launch_dir=os.getcwd())
-    shutil.rmtree(ledger.root / "cells", ignore_errors=True)
+    for name in ("cells", "languages"):
+        shutil.rmtree(ledger.root / name, ignore_errors=True)
+    for name in ("aggregate.csv", "best_rankings.csv", "plots_data.csv"):
+        (ledger.root / name).unlink(missing_ok=True)
     return _complete(ledger)
 
 

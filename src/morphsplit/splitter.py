@@ -497,7 +497,7 @@ def adversarial_split(
         if state.is_maximal() or (budget is not None and used >= budget):
             break
 
-    _, _, _, a, b = best
+    score, t_a, t_b, a, b = best
     return SplitManifest(
         strategy="adversarial",
         stage=stage,
@@ -505,7 +505,8 @@ def adversarial_split(
         indices_a=a,
         indices_b=b,
         target_ratio=ratio,
-        achieved_distance=split_distance(corpus, a, b),
+        # the exact distance, rounded once, as split_distance forms it
+        achieved_distance=score / (2 * t_a * t_b),
         budget_used=used,
     )
 

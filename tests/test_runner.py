@@ -1007,6 +1007,29 @@ class TestRegressionOutputs:
         lang_dir = Path(cfg.output_dir) / "languages" / "synA"
         assert not (lang_dir / "regression.csv").exists()
 
+    def test_rerun_keeps_no_report_of_an_earlier_run(self, corpus_file, fitted_run, tmp_path):
+        """A run into the directory of a fitted run leaves what a run into a
+        fresh directory leaves, and no regression files."""
+        out = tmp_path / "again"
+        shutil.copytree(fitted_run[0].output_dir, out)
+        assert (out / "languages" / "synA" / "regression.csv").exists()
+        R.run_experiment(make_config(corpus_file, out, residual_strategies=("random",)))
+        fresh = tmp_path / "fresh"
+        R.run_experiment(make_config(corpus_file, fresh, residual_strategies=("random",)))
+        assert sorted(csv_bytes(out)) == sorted(csv_bytes(fresh))
+        assert csv_bytes(out) == csv_bytes(fresh)
+
+    def test_skipped_fit_removes_the_regression_files(self, fitted_run, tmp_path):
+        out = tmp_path / "run"
+        shutil.copytree(fitted_run[0].output_dir, out)
+        for path in (out / "cells").rglob("*.json"):
+            if json.loads(path.read_text())["result"]["residual_strategy"] == "adversarial":
+                path.unlink()
+        assert R.report(out, "regression") == []
+        lang_dir = out / "languages" / "synA"
+        assert not (lang_dir / "regression.csv").exists()
+        assert not (lang_dir / "regression_summary.csv").exists()
+
 
 class TestReport:
     def test_kinds_and_contents(self, smoke_run):
