@@ -58,22 +58,9 @@ with tempfile.TemporaryDirectory(prefix="morphsplit-demo-") as tmp:
     # Per-cell scores flatten into regression records: one row per cell,
     # model, and scored side, with split-construction covariates attached.
     # The fitted coefficients say how much each construction choice moves F1.
-    rows = []
+    # regression_records reads the CSV text of each row as is.
     with open(out / "languages" / "lang" / "records.csv", encoding="utf-8") as fh:
-        for row in csv.DictReader(r for r in fh if not r.startswith("#")):
-            rows.append(
-                {
-                    "f1": float(row["f1"]),
-                    "strategy": int(row["strategy"]),
-                    "new_test_gen": int(row["new_test_gen"]),
-                    "morpheme_overlap": float(row["morpheme_overlap"]),
-                    "word_count_ratio": float(row["word_count_ratio"]),
-                    "morph_per_word_ratio": float(row["morph_per_word_ratio"]),
-                    "morph_type_per_word_ratio": float(row["morph_type_per_word_ratio"]),
-                    "model_arch": row["model_arch"],
-                }
-            )
-    records = regression_records(rows)
+        records = regression_records(csv.DictReader(r for r in fh if not r.startswith("#")))
     result = fit_regression(records)
     print(f"n={result.n} r_squared={result.r_squared:.3f}")
     for term, beta, p, stars in zip(

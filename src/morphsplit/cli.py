@@ -20,6 +20,7 @@ import csv
 import os
 import sys
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 from .corpus import (
@@ -41,11 +42,11 @@ from .models import (
     segment_corpus,
     train_segmenter,
 )
+from .records import DECODE_ERRORS
 from .runner import (
     OUTPUT_DIR_ENV,
     REPORT_KINDS,
     RunConfig,
-    regression_records,
     report,
     resume,
     run_experiment,
@@ -59,7 +60,7 @@ from .splitter import (
     random_split,
     save_manifest,
 )
-from .stats import fit_regression
+from .stats import RegressionRecord, fit_regression
 
 
 # What the RunConfig field types do not give: the flag where its spelling
@@ -133,14 +134,17 @@ def _experiment_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**kwargs)
 
 
-def _flag_type(key: str):
-    """argparse ``type`` for one RunConfig field; bad text is a usage error."""
-    def parse(text: str):
+def _flag_type(parse):
+    """argparse ``type`` that reads a flag with ``parse``; bad text is a
+    usage error."""
+    def checked(text: str):
         try:
-            return RunConfig.parse_field(key, text)
+            return parse(text)
         except (MorphsplitError, ValueError, ZeroDivisionError) as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from exc
-    return parse
+            raise argparse.ArgumentTypeError(
+                f"bad value {text!r} ({type(exc).__name__}: {exc})"
+            ) from exc
+    return checked
 
 
 def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
@@ -149,7 +153,7 @@ def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
         options = dict(_FLAG_OPTIONS.get(key, {}))
         flag = options.pop("flag", "--" + key.replace("_", "-"))
         if "action" not in options:
-            options["type"] = _flag_type(key)
+            options["type"] = _flag_type(partial(RunConfig.parse_field, key))
         sub.add_argument(flag, dest=key, **options)
 
 
@@ -177,7 +181,7 @@ def _cmd_split(args: argparse.Namespace) -> int:
     elif args.strategy == "adversarial":
         manifest = adversarial_split(corpus, ratio, args.seed, budget=args.budget)
     else:
-        manifest = heuristic_split(corpus, ratio, as_fraction(args.tolerance))
+        manifest = heuristic_split(corpus, ratio, args.tolerance)
         if manifest is None:
             print("heuristic split: no morpheme-count threshold fits the "
                   "requested share within tolerance")
@@ -283,8 +287,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_regress(args: argparse.Namespace) -> int:
     with open(args.records, newline="", encoding="utf-8") as fh:
-        data_lines = [line for line in fh if not line.startswith("#")]
-    records = regression_records(csv.DictReader(data_lines))
+        numbered = [(n, line) for n, line in enumerate(fh, 1) if not line.startswith("#")]
+    reader = csv.DictReader(line for _, line in numbered)
+    records = []
+    for row in reader:
+        try:
+            records.append(RegressionRecord.from_dict(row))
+        except DECODE_ERRORS as exc:
+            lineno = numbered[reader.line_num - 1][0]
+            raise ParseError(f"{args.records}:{lineno}: {exc}") from None
     result = fit_regression(records)
     print(f"n={result.n} dof={result.dof} r_squared={result.r_squared:.6g}")
     print(f"{'term':<42} {'beta':>12} {'se':>12} {'t':>10} {'p':>10} stars")
@@ -305,12 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("synth", help="generate a synthetic corpus file")
     sub.add_argument("--output", required=True)
     sub.add_argument("--words", type=int, required=True)
-    sub.add_argument("--stems", type=int, default=30)
-    sub.add_argument("--suffixes", type=int, default=8)
-    sub.add_argument("--min-suffixes", type=int, default=1)
-    sub.add_argument("--max-suffixes", type=int, default=2)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--language-tag", default="synthetic")
+    sub.add_argument("--stems", type=int, default=SyntheticSpec.stems)
+    sub.add_argument("--suffixes", type=int, default=SyntheticSpec.suffixes)
+    sub.add_argument("--min-suffixes", type=int, default=SyntheticSpec.min_suffixes)
+    sub.add_argument("--max-suffixes", type=int, default=SyntheticSpec.max_suffixes)
+    sub.add_argument("--seed", type=int, default=SyntheticSpec.seed)
+    sub.add_argument("--language-tag", default=SyntheticSpec.language_tag)
     sub.set_defaults(func=_cmd_synth)
 
     sub = subs.add_parser("split", help="compute one two-way split")
@@ -320,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--budget", type=int, default=None,
                      help="adversarial swap-evaluation budget (default unlimited)")
-    sub.add_argument("--tolerance", default="1/50",
+    sub.add_argument("--tolerance", type=_flag_type(as_fraction), default="1/50",
                      help="heuristic share tolerance")
     sub.add_argument("--output", help="write the split manifest JSON here")
     sub.set_defaults(func=_cmd_split)

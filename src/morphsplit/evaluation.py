@@ -18,7 +18,7 @@ import numpy as np
 
 from .corpus import SegmentedWord, Segmentations, unpack_slots
 from .errors import ContractError, DomainError, ValidationError
-from .records import Record, as_fraction
+from .records import Record
 
 F1_VARIANTS = ("boundary", "morpheme")
 AVERAGES = ("micro", "macro")
@@ -338,33 +338,6 @@ def population_sigma(values: Sequence[float]) -> float:
     """Population standard deviation of ``values``; 0.0 for one value."""
     mean = sum(values) / len(values)
     return math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
-
-
-def score_variability(
-    results: Sequence[CellResult],
-    stratum: tuple[Fraction | float | str, str],
-    variant: str = "boundary",
-) -> dict[str, float]:
-    """Population standard deviation of new-test F1 within one stratum.
-
-    ``stratum`` is a (fraction, residual strategy) pair; fewer than two
-    matching cells is a domain error.
-    """
-    frac = as_fraction(stratum[0])
-    strategy = stratum[1]
-    cells = [
-        r for r in results
-        if r.fraction == frac and r.residual_strategy == strategy
-    ]
-    if len(cells) < 2:
-        raise DomainError(
-            f"stratum ({frac}, {strategy}) has {len(cells)} cells; need >= 2"
-        )
-    models = cells[0].models()
-    return {
-        m: population_sigma([c.scores(variant, "new")[m].f1 for c in cells])
-        for m in models
-    }
 
 
 def aggregate_rows(

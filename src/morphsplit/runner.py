@@ -55,6 +55,7 @@ from .corpus import Corpus, WordTable, corpus_stats, parse_corpus
 from .errors import ConfigError, DomainError, LedgerError, SingularityError, ValidationError
 from .evaluation import (
     AVERAGES,
+    DEFAULT_COLLAPSE_EPSILON,
     F1_VARIANTS,
     CellResult,
     ModelRanking,
@@ -78,7 +79,6 @@ from .models import (
 )
 from .records import DECODE_ERRORS, Ratio, Record, decode_field, write_json
 from .splitter import (
-    DEFAULT_ADVERSARIAL_BUDGET,
     GRID_STRATEGIES,
     ExperimentPlan,
     GridCell,
@@ -86,7 +86,7 @@ from .splitter import (
     derive_seed,
     grid_units,
 )
-from .stats import RegressionRecord, fit_regression
+from .stats import COVARIATES, RegressionRecord, fit_regression
 
 logger = logging.getLogger(__name__)
 
@@ -95,8 +95,6 @@ LEDGER_NAME = "ledger.json"
 LEDGER_VERSION = 1
 REPORT_KINDS = ("tables", "regression", "plots-data")
 
-_DEFAULT_FRACTIONS = ExperimentPlan().new_test_fractions
-
 
 @dataclass(frozen=True)
 class RunConfig(Record):
@@ -104,31 +102,32 @@ class RunConfig(Record):
 
     ``output_dir`` and ``parallelism`` affect where and how fast results
     land but never their values, so they are excluded from the config hash
-    that guards resumption.
+    that guards resumption. A default that a grid, feature or training
+    class also has is that class's default.
     """
 
     corpus_paths: tuple[str, ...]
     output_dir: str
-    fractions: tuple[Fraction, ...] = _DEFAULT_FRACTIONS
-    samples_per_fraction: int = 10
-    residual_splits: int = 3
-    residual_ratio: Ratio = Fraction(9, 1)
+    fractions: tuple[Fraction, ...] = ExperimentPlan.new_test_fractions
+    samples_per_fraction: int = ExperimentPlan.samples_per_fraction
+    residual_splits: int = ExperimentPlan.residual_splits
+    residual_ratio: Ratio = ExperimentPlan.residual_ratio
     new_test_generations: tuple[str, ...] = GRID_STRATEGIES
     residual_strategies: tuple[str, ...] = GRID_STRATEGIES
     models: tuple[str, ...] = BUILTIN_SEGMENTERS
     seeds_per_model: int = 3
     f1_variant: str = "boundary"
     f1_average: str = "micro"
-    collapse_epsilon: float = 0.02
-    master_seed: int = 0
-    adversarial_budget: int = DEFAULT_ADVERSARIAL_BUDGET
+    collapse_epsilon: float = DEFAULT_COLLAPSE_EPSILON
+    master_seed: int = ExperimentPlan.master_seed
+    adversarial_budget: int = ExperimentPlan.adversarial_budget
     parallelism: int = 1
-    max_ngram: int = 3
-    window: int = 2
-    optimizer: str = "lbfgs"
-    max_iterations: int = 200
-    convergence_tol: float = 1e-6
-    l2_lambda: float = 0.1
+    max_ngram: int = FeatureTemplate.max_ngram
+    window: int = FeatureTemplate.window
+    optimizer: str = TrainConfig.optimizer
+    max_iterations: int = TrainConfig.max_iterations
+    convergence_tol: float = TrainConfig.convergence_tol
+    l2_lambda: float = TrainConfig.l2_lambda
     unigram_smoothing: float = UNIGRAM_SMOOTHING
 
     def __post_init__(self) -> None:
@@ -422,26 +421,27 @@ def compute_cell(corpus: Corpus, cell: GridCell, config: RunConfig) -> dict:
 
     train_stats = corpus_stats(train)
     eval_stats = corpus_stats(eval_gold)
-    records = []
-    for key in sorted(tables["boundary_eval"]):
-        for side in ("eval", "new"):
-            records.append(
-                {
-                    "cell_id": cell.cell_id,
-                    "model_arch": key,
-                    "score_on": side,
-                    "f1": tables[f"{config.f1_variant}_{side}"][key].f1,
-                    "strategy": 1 if cell.residual_strategy == "random" else 0,
-                    "new_test_gen": 1 if cell.new_test_strategy == "random" else 0,
-                    "morpheme_overlap": overlap,
-                    "word_count_ratio": train_stats.word_type_count
-                    / eval_stats.word_type_count,
-                    "morph_per_word_ratio": train_stats.avg_morphemes_per_word
-                    / eval_stats.avg_morphemes_per_word,
-                    "morph_type_per_word_ratio": train_stats.avg_morpheme_types_per_word
-                    / eval_stats.avg_morpheme_types_per_word,
-                }
-            )
+    covariates = {
+        "new_test_gen": 1 if cell.new_test_strategy == "random" else 0,
+        "morpheme_overlap": overlap,
+        "word_count_ratio": train_stats.word_type_count / eval_stats.word_type_count,
+        "morph_per_word_ratio": train_stats.avg_morphemes_per_word
+        / eval_stats.avg_morphemes_per_word,
+        "morph_type_per_word_ratio": train_stats.avg_morpheme_types_per_word
+        / eval_stats.avg_morpheme_types_per_word,
+    }
+    records = [
+        {
+            "cell_id": cell.cell_id,
+            "model_arch": key,
+            "score_on": side,
+            "f1": tables[f"{config.f1_variant}_{side}"][key].f1,
+            "strategy": 1 if cell.residual_strategy == "random" else 0,
+            **covariates,
+        }
+        for key in sorted(tables["boundary_eval"])
+        for side in ("eval", "new")
+    ]
     return {
         "key": f"{corpus.language_tag}/{cell.cell_id}",
         "language_tag": corpus.language_tag,
@@ -561,15 +561,16 @@ def _g(v: float) -> str:
 
 
 def _write_csv(
-    path: Path,
-    header: Sequence[str],
-    rows: Iterable[Sequence],
-    comment: str | None = None,
+    path: Path, header: Sequence[str], rows: Iterable[Sequence], config: RunConfig
 ) -> Path:
+    """Write one report CSV under a comment line naming the F1 variant and
+    averaging that produced it."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="", encoding="utf-8") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
+        fh.write(
+            f"# f1_variant={config.f1_variant} average={config.f1_average} "
+            "languages=equal-weight\n"
+        )
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -583,18 +584,7 @@ REPORT_ROW_COLUMNS = (
     "morpheme_overlap", "train_size", "eval_size", "new_test_size",
 )
 
-RECORD_COLUMNS = (
-    "cell_id", "model_arch", "score_on", "f1", "strategy", "new_test_gen",
-    "morpheme_overlap", "word_count_ratio", "morph_per_word_ratio",
-    "morph_type_per_word_ratio",
-)
-
-
-def _provenance(config: RunConfig) -> str:
-    return (
-        f"f1_variant={config.f1_variant} average={config.f1_average} "
-        "languages=equal-weight"
-    )
+RECORD_COLUMNS = ("cell_id", "model_arch", "score_on", "f1", "strategy", *COVARIATES)
 
 
 def _report_rows_csv(out: Path, language: str, results: list[CellResult], config: RunConfig) -> Path:
@@ -612,25 +602,27 @@ def _report_rows_csv(out: Path, language: str, results: list[CellResult], config
             )
     return _write_csv(
         out / "languages" / language / "report_rows.csv",
-        REPORT_ROW_COLUMNS, rows, comment=_provenance(config),
+        REPORT_ROW_COLUMNS, rows, config,
     )
 
 
+def _record_format(column: str):
+    """F1 and overlap to six decimals, a ratio to six significant digits."""
+    if column in ("f1", "morpheme_overlap"):
+        return _f
+    return _g if column.endswith("_ratio") else str
+
+
 def _records_csv(out: Path, language: str, records: list[dict], config: RunConfig) -> Path:
+    formats = [(column, _record_format(column)) for column in RECORD_COLUMNS]
     rows = [
-        (
-            rec["cell_id"], rec["model_arch"], rec["score_on"], _f(rec["f1"]),
-            rec["strategy"], rec["new_test_gen"], _f(rec["morpheme_overlap"]),
-            _g(rec["word_count_ratio"]), _g(rec["morph_per_word_ratio"]),
-            _g(rec["morph_type_per_word_ratio"]),
-        )
+        [fmt(rec[column]) for column, fmt in formats]
         for rec in sorted(
             records, key=lambda r: (r["cell_id"], r["model_arch"], r["score_on"])
         )
     ]
     return _write_csv(
-        out / "languages" / language / "records.csv",
-        RECORD_COLUMNS, rows, comment=_provenance(config),
+        out / "languages" / language / "records.csv", RECORD_COLUMNS, rows, config
     )
 
 
@@ -647,8 +639,6 @@ def _regression_csvs(
     removes them, so none is left from an earlier fit."""
     directory = out / "languages" / language
     try:
-        if len({rec["strategy"] for rec in records}) < 2:
-            raise DomainError("needs both residual strategy levels, run includes one")
         result = fit_regression(regression_records(records))
     except (DomainError, SingularityError) as exc:
         for name in ("regression.csv", "regression_summary.csv"):
@@ -663,13 +653,13 @@ def _regression_csvs(
         _write_csv(
             directory / "regression.csv",
             ("term", "beta", "se", "t", "p", "stars"),
-            term_rows, comment=_provenance(config),
+            term_rows, config,
         ),
         _write_csv(
             directory / "regression_summary.csv",
             ("language", "r_squared", "n", "dof"),
             [(language, _g(result.r_squared), result.n, result.dof)],
-            comment=_provenance(config),
+            config,
         ),
     ]
     return paths, None
@@ -688,7 +678,7 @@ def _aggregate_csv(out: Path, results: list[CellResult], config: RunConfig) -> P
         out / "aggregate.csv",
         ("model", "residual_strategy", "mean_eval_f1", "mean_new_f1",
          "mean_abs_gap", "consistency", "sigma"),
-        rows, comment=_provenance(config),
+        rows, config,
     )
 
 
@@ -714,7 +704,7 @@ def _best_rankings_csv(out: Path, results: list[CellResult], config: RunConfig) 
     return _write_csv(
         out / "best_rankings.csv",
         ("residual_strategy", "side", "ranking", "count", "share"),
-        rows, comment=_provenance(config),
+        rows, config,
     )
 
 
@@ -732,7 +722,7 @@ def _plots_data_csv(out: Path, results: list[CellResult], config: RunConfig) -> 
     return _write_csv(
         out / "plots_data.csv",
         ("fraction", "strategy", "model", "sigma"),
-        rows, comment=_provenance(config),
+        rows, config,
     )
 
 

@@ -452,9 +452,10 @@ def adversarial_split(
     lets the search escape local optima that trap a single climb. Each
     climb sweeps candidate swaps in deterministic order, accepting the
     first strict improvement, until a full sweep yields none, the distance
-    reaches 1, or the shared evaluation ``budget`` runs out. The swaps of
-    one side-a word are scored together in one vector pass over sparse
-    morpheme-count rows (see ``_SwapState``), in O(nnz + V) memory. Swaps and
+    reaches 1, or the shared evaluation ``budget`` runs out. One vector pass
+    scores a run of consecutive pairs, which may span several side-a words
+    (see ``_climb``), over padded slot-major morpheme-count rows (see
+    ``_CountRows`` and ``_SwapState``), in O(n*K + V) memory. Swaps and
     terminal partitions are compared with exact integer arithmetic and
     every manifest distance is the correctly rounded exact value, so the
     result never scores below the random split with the same seed, not

@@ -4,15 +4,12 @@ The design matrix has a fixed, documented column order:
 
     1. intercept
     2. strategy           (1 = random residual split, 0 otherwise)
-    3. new_test_gen       (1 = random new-test carve, 0 otherwise)
-    4. morpheme_overlap
-    5. word_count_ratio
-    6. morph_per_word_ratio
-    7. morph_type_per_word_ratio
-    8. model dummies, one per non-reference architecture in sorted order
+    3. each of ``COVARIATES`` in order: new_test_gen (1 = random new-test
+       carve, 0 otherwise), morpheme_overlap, and the train-to-eval ratios
+       word_count_ratio, morph_per_word_ratio and morph_type_per_word_ratio
+    4. model dummies, one per non-reference architecture in sorted order
        (the first sorted architecture is the dropped reference level)
-    9. strategy x each of {new_test_gen, morpheme_overlap, word_count_ratio,
-       morph_per_word_ratio, morph_type_per_word_ratio}
+    5. strategy x each of ``COVARIATES``
 
 Fitting uses a pivoted QR decomposition; rank deficiency raises
 :class:`SingularityError` naming the dependent columns. Two-sided p-values
@@ -36,7 +33,9 @@ from .records import Record
 
 logger = logging.getLogger(__name__)
 
-_CONTROLS = (
+#: The corpus covariates of the regression, in design-matrix order. Records,
+#: the records CSV and the design matrix all take their columns from here.
+COVARIATES = (
     "new_test_gen",
     "morpheme_overlap",
     "word_count_ratio",
@@ -71,12 +70,8 @@ class RegressionRecord(Record):
             raise ValidationError("new_test_gen must be 0 or 1")
         if not 0.0 <= self.morpheme_overlap <= 1.0:
             raise ValidationError("morpheme_overlap must lie in [0, 1]")
-        for name in (
-            "word_count_ratio",
-            "morph_per_word_ratio",
-            "morph_type_per_word_ratio",
-        ):
-            if getattr(self, name) <= 0:
+        for name in COVARIATES:
+            if name.endswith("_ratio") and getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be > 0")
         if not self.model_arch:
             raise ValidationError("model_arch must be non-empty")
@@ -135,29 +130,15 @@ def build_design_matrix(
         raise DomainError("build_design_matrix needs at least two records")
     strategies = {r.strategy for r in records}
     if len(strategies) < 2:
-        raise DomainError("records must include both strategy levels")
+        raise DomainError("records must include both residual strategy levels")
     archs = sorted({r.model_arch for r in records})
-    terms = [
-        "intercept",
-        "strategy",
-        "new_test_gen",
-        "morpheme_overlap",
-        "word_count_ratio",
-        "morph_per_word_ratio",
-        "morph_type_per_word_ratio",
-    ]
+    terms = ["intercept", "strategy", *COVARIATES]
     terms += [f"model[{a}]" for a in archs[1:]]
-    terms += [f"strategy:{c}" for c in _CONTROLS]
+    terms += [f"strategy:{c}" for c in COVARIATES]
 
     rows = []
     for r in records:
-        controls = [
-            float(r.new_test_gen),
-            r.morpheme_overlap,
-            r.word_count_ratio,
-            r.morph_per_word_ratio,
-            r.morph_type_per_word_ratio,
-        ]
+        controls = [float(getattr(r, c)) for c in COVARIATES]
         row = [1.0, float(r.strategy), *controls]
         row += [1.0 if r.model_arch == a else 0.0 for a in archs[1:]]
         row += [r.strategy * c for c in controls]

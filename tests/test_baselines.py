@@ -18,7 +18,6 @@ from morphsplit.models import (
     BoundaryLogisticModel,
     FeatureTemplate,
     LongestMatchModel,
-    TrainConfig,
     UnigramModel,
     gap_features,
     logistic_objective,
@@ -315,15 +314,6 @@ class TestBoundaryLogistic:
             fd = (logistic_objective(mp, list(corpus))[0]
                   - logistic_objective(mm, list(corpus))[0]) / (2 * h)
             assert grad[c] == pytest.approx(fd, rel=1e-5, abs=1e-9)
-
-    def test_lbfgs_option_agrees_on_predictions(self):
-        corpus = toy_corpus()
-        gd = train_boundary_logistic(corpus, template=SMALL)
-        lb = train_boundary_logistic(
-            corpus, template=SMALL, config=TrainConfig(optimizer="lbfgs")
-        )
-        for w in corpus:
-            assert gd.segment(w.surface) == lb.segment(w.surface)
 
     def test_dict_round_trip_preserves_scores(self):
         model = train_boundary_logistic(toy_corpus(), template=SMALL)

@@ -12,9 +12,14 @@ from pathlib import Path
 import pytest
 
 from morphsplit import cli
-from morphsplit.corpus import parse_corpus
+from morphsplit.corpus import (
+    SyntheticSpec,
+    generate_synthetic_corpus,
+    parse_corpus,
+    write_corpus,
+)
 from morphsplit.errors import ConfigError, ParseError
-from morphsplit.runner import OUTPUT_DIR_ENV, RunConfig
+from morphsplit.runner import OUTPUT_DIR_ENV, RECORD_COLUMNS, RunConfig
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +44,12 @@ class TestSynth:
         other = tmp_path / "again.tsv"
         run_cli("synth", "--output", other, "--words", 60, "--seed", 3)
         assert other.read_bytes() == Path(corpus_file).read_bytes()
+
+    def test_defaults_are_the_spec_defaults(self, tmp_path):
+        out, expected = tmp_path / "cli.tsv", tmp_path / "spec.tsv"
+        assert run_cli("synth", "--words", 50, "--output", out) == 0
+        write_corpus(generate_synthetic_corpus(SyntheticSpec(50)), expected)
+        assert out.read_bytes() == expected.read_bytes()
 
 
 class TestSplit:
@@ -77,6 +88,14 @@ class TestSplit:
                        "--strategy", "random")
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["abc", "1/0"])
+    def test_bad_tolerance_is_usage_error(self, corpus_file, capsys, text):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("split", "--corpus", corpus_file, "--strategy", "heuristic",
+                    "--tolerance", text)
+        assert exc.value.code == 2
+        assert f"argument --tolerance: bad value {text!r}" in capsys.readouterr().err
 
 
 class TestTrainSegmentEvaluate:
@@ -428,6 +447,18 @@ class TestRegress:
         text = capsys.readouterr().out
         assert "r_squared=" in text
         assert "model[unigram_viterbi]" in text
+
+    def test_non_numeric_cell_names_file_and_line(self, tmp_path, capsys):
+        records = tmp_path / "records.csv"
+        records.write_text(
+            "# f1_variant=boundary average=micro languages=equal-weight\n"
+            + ",".join(RECORD_COLUMNS) + "\n"
+            + "c0,crf,eval,zero,1,1,0.5,2,1,1\n"
+        )
+        assert run_cli("regress", "--records", records) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {records}:3: ")
+        assert "'zero'" in err
 
 
 class TestInstalledEntryPoint:

@@ -24,7 +24,6 @@ from morphsplit.evaluation import (
     morpheme_spans,
     rank_models,
     ranking_consistency,
-    score_variability,
 )
 
 MODELS = ("crf", "longest_match", "unigram_viterbi")
@@ -425,47 +424,6 @@ class TestConsistencyAndGap:
             )
 
 
-class TestVariability:
-    def test_zero_and_half(self):
-        same = [make_cell(f"c{i}", new_f1={m: 0.7 for m in MODELS}) for i in range(3)]
-        assert all(
-            v == pytest.approx(0.0, abs=1e-12)
-            for v in score_variability(same, (0.3, "random")).values()
-        )
-        two = [
-            make_cell("c0", new_f1={m: 0.0 for m in MODELS}),
-            make_cell("c1", new_f1={m: 1.0 for m in MODELS}),
-        ]
-        assert all(
-            v == pytest.approx(0.5)
-            for v in score_variability(two, (0.3, "random")).values()
-        )
-
-    def test_stratum_filters_cells(self):
-        cells = [
-            make_cell("a", fraction=Fraction(3, 10), res_strat="random",
-                      new_f1={m: 0.2 for m in MODELS}),
-            make_cell("b", fraction=Fraction(3, 10), res_strat="random",
-                      new_f1={m: 0.4 for m in MODELS}),
-            make_cell("c", fraction=Fraction(1, 2), res_strat="random",
-                      new_f1={m: 0.9 for m in MODELS}),
-            make_cell("d", fraction=Fraction(3, 10), res_strat="adversarial",
-                      new_f1={m: 0.9 for m in MODELS}),
-        ]
-        sig = score_variability(cells, (Fraction(3, 10), "random"))
-        assert all(v == pytest.approx(0.1) for v in sig.values())
-
-    def test_accepts_float_fraction(self):
-        cells = [make_cell("a", new_f1={m: 0.2 for m in MODELS}),
-                 make_cell("b", new_f1={m: 0.6 for m in MODELS})]
-        sig = score_variability(cells, (0.3, "random"))
-        assert all(v == pytest.approx(0.2) for v in sig.values())
-
-    def test_too_few_cells_rejected(self):
-        with pytest.raises(DomainError):
-            score_variability([make_cell()], (0.3, "random"))
-
-
 def random_cells(n=12, seed=11):
     import random
 
@@ -495,7 +453,7 @@ def strata(cells):
 class TestAggregate:
     def test_recount_within_tolerance(self):
         cells = random_cells()
-        for stratum, members in strata(cells).items():
+        for members in strata(cells).values():
             # aggregate_rows pools by residual strategy, so one stratum's
             # cells give that stratum's per-model means
             rows = aggregate_rows(members)
@@ -519,10 +477,6 @@ class TestAggregate:
                     sum((v - mean) ** 2 for v in news) / len(news)
                 )
                 assert row["sigma"] == pytest.approx(sigma, abs=1e-12)
-                if len(members) > 1:
-                    assert score_variability(cells, stratum)[m] == pytest.approx(
-                        sigma, abs=1e-12
-                    )
             same = sum(
                 c.ranking_eval.same_groups(c.ranking_new) for c in members
             )

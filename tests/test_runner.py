@@ -24,8 +24,8 @@ from morphsplit import corpus as C
 from morphsplit import runner as R
 from morphsplit import splitter as S
 from morphsplit.errors import ConfigError, DomainError, LedgerError
-from morphsplit.evaluation import CellResult, aggregate_rows
-from morphsplit.models import FeatureTable
+from morphsplit.evaluation import DEFAULT_COLLAPSE_EPSILON, CellResult, aggregate_rows
+from morphsplit.models import FeatureTable, FeatureTemplate, TrainConfig
 
 
 def write_synthetic(path, n=60, seed=3):
@@ -132,6 +132,17 @@ class TestRunConfig:
     def test_rejects(self, corpus_file, tmp_path, override):
         with pytest.raises(ConfigError):
             make_config(corpus_file, tmp_path, **override)
+
+    def test_defaults_are_the_owning_classes(self):
+        # each default that a grid, feature or training class also has is
+        # that class's, so the two cannot drift apart
+        cfg = R.RunConfig(corpus_paths=("corpus.tsv",), output_dir="run")
+        assert cfg.template() == FeatureTemplate()
+        for seed in (0, 5):
+            assert cfg.train_config(seed) == TrainConfig(seed=seed)
+        for generation in S.GRID_STRATEGIES:
+            assert cfg.plan(generation) == S.ExperimentPlan(new_test_generation=generation)
+        assert cfg.collapse_epsilon == DEFAULT_COLLAPSE_EPSILON
 
     def test_hash_pinned(self):
         # the ledger format is the contract a saved run is resumed against
@@ -451,12 +462,20 @@ class TestSmokeRun:
 
     def test_provenance_comment_present(self, smoke_run):
         cfg, _ = smoke_run
-        for name in ("aggregate.csv", "plots_data.csv", "best_rankings.csv"):
-            first = (Path(cfg.output_dir) / name).read_text().splitlines()[0]
-            assert first.startswith("#")
-            assert "f1_variant=boundary" in first
-            assert "average=micro" in first
-            assert "equal-weight" in first
+        reports = sorted(Path(cfg.output_dir).rglob("*.csv"))
+        assert {p.name for p in reports} >= {
+            "aggregate.csv", "plots_data.csv", "best_rankings.csv",
+            "report_rows.csv", "records.csv",
+        }
+        for path in reports:
+            first = path.read_text().splitlines()[0]
+            assert first == "# f1_variant=boundary average=micro languages=equal-weight"
+
+    def test_records_header_is_record_columns(self, smoke_run):
+        cfg, _ = smoke_run
+        records = Path(cfg.output_dir) / "languages" / "synA" / "records.csv"
+        header = records.read_text().splitlines()[1]
+        assert tuple(header.split(",")) == R.RECORD_COLUMNS
 
 
 class TestMinimalRun:
@@ -1003,7 +1022,10 @@ class TestRegressionOutputs:
             corpus_file, tmp_path / "run", residual_strategies=("random",)
         )
         ledger = R.run_experiment(cfg)
-        assert any("regression skipped" in note for note in ledger.notes)
+        assert ledger.notes == [
+            "synA: regression skipped "
+            "(records must include both residual strategy levels)"
+        ]
         lang_dir = Path(cfg.output_dir) / "languages" / "synA"
         assert not (lang_dir / "regression.csv").exists()
 
