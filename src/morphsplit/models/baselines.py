@@ -267,10 +267,11 @@ def logistic_objective(
     ids, ptr, lengths = model.feature_ids(w.surface for w in words)
     X = design_matrix(ids, ptr, len(model.weights))
     targets = _targets(cut_slots(words)[:-1], lengths)
-    return _logistic_value(model.weights, X, targets, model.l2_lambda)
+    return _logistic_value(model.weights, X, X.T, targets, model.l2_lambda)
 
 
-def _logistic_value(weights, X, targets, l2):
+def _logistic_value(weights, X, XT, targets, l2):
+    """Objective and gradient; ``XT`` is ``X.T``, built once per training."""
     m = X.shape[0]
     if m == 0:
         f = 0.5 * l2 * float(weights @ weights)
@@ -281,7 +282,7 @@ def _logistic_value(weights, X, targets, l2):
     losses = np.logaddexp(0.0, -sign * z)
     sigma = 1.0 / (1.0 + np.exp(-z))
     coeff = (sigma - targets) / m
-    grad = l2 * weights + X.T @ coeff
+    grad = l2 * weights + XT @ coeff
     f = float(losses.mean()) + 0.5 * l2 * float(weights @ weights)
     return f, grad
 
@@ -309,8 +310,9 @@ def train_boundary_logistic(
     if not X.shape[0]:
         return model
     targets = _targets(starts, lengths)
+    XT = X.T
     result = minimize(
-        lambda w: _logistic_value(w, X, targets, config.l2_lambda),
+        lambda w: _logistic_value(w, X, XT, targets, config.l2_lambda),
         model.weights,
         config,
         context="boundary logistic training",

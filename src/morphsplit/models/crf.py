@@ -123,11 +123,12 @@ class _Batch:
     and ``last`` each batch row to the layout row of its last position.
     ``X`` holds the 0/1 feature occurrences of the layout rows, ``gold``
     their gold labels and ``gold_T`` the gold transition counts, bookends
-    included.
+    included. A batch with gold labels also keeps ``XT``, the transpose
+    every objective evaluation multiplies by, built once.
     """
 
     __slots__ = ("lengths", "starts", "active", "offsets", "rows", "last", "X",
-                 "gold", "gold_T")
+                 "XT", "gold", "gold_T")
 
     def __init__(self, ids, ptr, lengths, n_features, gold=None):
         self.lengths = lengths
@@ -147,8 +148,9 @@ class _Batch:
             np.concatenate([[0], np.cumsum(counts)]),
             n_features,
         )
-        self.gold = self.gold_T = None
+        self.XT = self.gold = self.gold_T = None
         if gold is not None:
+            self.XT = self.X.T
             self.gold = gold[self.rows]
             # each position's transition in, then each word's transition out
             prev = np.roll(gold, 1)
@@ -188,6 +190,22 @@ def _row_sum(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     for j in range(2, N_LABELS):
         out += a[:, j]
     return out
+
+
+def _best_source(v: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``scores.max(axis=1)`` and ``np.argmax(scores, axis=1)`` of the
+    (n, 6, 6) ``scores = v[:, :, None] + T``, one source label at a time.
+
+    A later source replaces the best only when strictly greater, so ties go
+    to the first maximum, as ``np.argmax`` breaks them.
+    """
+    best = v[:, 0, None] + T[0]
+    arg = np.zeros(best.shape, dtype=np.int64)
+    for j in range(1, N_LABELS):
+        s = v[:, j, None] + T[j]
+        np.copyto(arg, j, where=s > best)
+        np.maximum(best, s, out=best)
+    return best, arg
 
 
 def _forward(E: np.ndarray, T: np.ndarray, batch: _Batch):
@@ -258,7 +276,7 @@ def _objective_and_grad(weights, batch: _Batch, n_features, l2):
     gT -= batch.gold_T
     # expected minus observed emissions, summed onto feature rows
     marg[rows, batch.gold] -= 1.0
-    raw_grad[:n_e] = (batch.X.T @ marg).ravel()
+    raw_grad[:n_e] = (batch.XT @ marg).ravel()
 
     n_words = len(batch.lengths)
     objective = float(nll) / n_words + 0.5 * l2 * float(weights @ weights)
@@ -314,9 +332,8 @@ def _viterbi(E: np.ndarray, T: np.ndarray, batch: _Batch) -> tuple[np.ndarray, n
         best[k:len(v)] = np.argmax(done, axis=1)
         score[k:len(v)] = done[np.arange(len(done)), best[k:len(v)]]
         if k:
-            scores = v[:k, :, None] + T[None, :, :]
-            back[off[i + 1]:off[i + 2]] = np.argmax(scores, axis=1)
-            v = scores.max(axis=1) + E[off[i + 1]:off[i + 2]]
+            v, back[off[i + 1]:off[i + 2]] = _best_source(v[:k], T)
+            v += E[off[i + 1]:off[i + 2]]
     labels = np.empty(len(E), dtype=np.int64)
     path = best.copy()
     for i in range(len(active) - 1, -1, -1):

@@ -13,10 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import ClassVar, Iterable
+from typing import TYPE_CHECKING, ClassVar, Iterable
 
 import numpy as np
-from scipy import sparse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 from ..corpus import SegmentedWord, Segmenter, WordTable, concat_ranges, cut_slots, graphemes
 from ..errors import ContractError, DomainError, ValidationError
@@ -88,6 +90,8 @@ def _ptr(counts: np.ndarray) -> np.ndarray:
 
 def design_matrix(ids: np.ndarray, ptr: np.ndarray, n_features: int) -> sparse.csr_matrix:
     """One 0/1 row per CSR row of feature ``ids`` over the feature columns."""
+    from scipy import sparse
+
     return sparse.csr_matrix(
         (np.ones(len(ids)), ids, ptr), shape=(len(ptr) - 1, n_features)
     )

@@ -13,7 +13,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from ..errors import TrainingError, ValidationError
 
@@ -88,6 +87,8 @@ def minimize(fun, x0: np.ndarray, config: TrainConfig, context: str = "training"
 def _run(fun, x0: np.ndarray, config: TrainConfig, context: str) -> OptimResult:
     wrapped, state = _checked(fun, context)
     if config.optimizer == "lbfgs":
+        from scipy import optimize
+
         history: list[float] = []
         res = optimize.minimize(
             wrapped,

@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
-from scipy.special import betainc
 
 from .errors import DomainError, SingularityError, ValidationError
 from .records import Record
@@ -167,6 +165,8 @@ def student_t_cdf(t: float, dof: int) -> float:
         return 0.5
     if math.isinf(t):
         return 1.0 if t > 0 else 0.0
+    from scipy.special import betainc
+
     tail = 0.5 * float(betainc(dof / 2.0, 0.5, dof / (dof + t * t)))
     return 1.0 - tail if t > 0 else tail
 
@@ -179,6 +179,8 @@ def two_sided_p(t: float, dof: int) -> float:
         return 0.0
     if t == 0.0:
         return 1.0
+    from scipy.special import betainc
+
     return float(betainc(dof / 2.0, 0.5, dof / (dof + t * t)))
 
 
@@ -218,6 +220,8 @@ def ols_fit(
             raise DomainError("term_names must match the column count")
     if n <= k:
         raise DomainError(f"need more observations ({n}) than terms ({k})")
+
+    from scipy.linalg import qr, solve_triangular
 
     Q, R, piv = qr(X, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))

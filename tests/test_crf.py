@@ -622,6 +622,18 @@ class TestSixColumnReductions:
         assert np.array_equal(C._row_max(a), a.max(axis=1))
         assert np.array_equal(C._row_max(-a), (-a).max(axis=1))
 
+    def test_best_source_is_numpys_max_and_first_argmax(self):
+        rng = np.random.default_rng(5)
+        # whole numbers in {-1, 0, 1} tie exactly and often
+        for v, T in ((rng.standard_normal((300, 6)), rng.standard_normal((6, 6))),
+                     (rng.integers(-1, 2, (300, 6)).astype(float),
+                      rng.integers(-1, 2, (6, 6)).astype(float)),
+                     (np.zeros((300, 6)), np.zeros((6, 6)))):
+            scores = v[:, :, None] + T[None, :, :]
+            best, arg = C._best_source(v, T)
+            assert np.array_equal(best, scores.max(axis=1))
+            assert np.array_equal(arg, np.argmax(scores, axis=1))
+
 
 def train_cells_batch():
     """The CRF training batch of the first cell of perfbench's train-cells
@@ -656,6 +668,51 @@ def test_objective_and_gradient_bits_are_pinned(scale, objective, grad_sha256):
     f, grad = C._objective_and_grad(weights, batch, n, 0.1)
     assert f == objective
     assert hashlib.sha256(grad.tobytes()).hexdigest() == grad_sha256
+
+
+def axis1_viterbi(E, T, batch):
+    """``crf._viterbi`` as it was before its source-label reductions were
+    chained: every max and argmax over ``axis=1``."""
+    off, active = batch.offsets, batch.active
+    ends = [*active[1:], 0]
+    best = np.empty(len(batch.lengths), dtype=np.int64)
+    score = np.empty(len(batch.lengths))
+    back = np.empty(E.shape, dtype=np.int64)
+    v = T[Label.START] + E[:off[1]]
+    for i, k in enumerate(ends):
+        done = v[k:] + T[:, Label.END]
+        best[k:len(v)] = np.argmax(done, axis=1)
+        score[k:len(v)] = done[np.arange(len(done)), best[k:len(v)]]
+        if k:
+            scores = v[:k, :, None] + T[None, :, :]
+            back[off[i + 1]:off[i + 2]] = np.argmax(scores, axis=1)
+            v = scores.max(axis=1) + E[off[i + 1]:off[i + 2]]
+    labels = np.empty(len(E), dtype=np.int64)
+    path = best.copy()
+    for i in range(len(active) - 1, -1, -1):
+        k = ends[i]
+        path[:k] = back[off[i + 1] + np.arange(k), path[:k]]
+        labels[off[i]:off[i + 1]] = path[:active[i]]
+    return labels, score
+
+
+@pytest.mark.parametrize("weights", ["normal", "ties", "zero"])
+def test_viterbi_matches_the_axis1_reference(weights):
+    """Labels and path scores equal the axis=1 decoder's bits, also where
+    whole-number or zero weights make equal-scoring paths tie exactly."""
+    batch, n = train_cells_batch()
+    rng = np.random.default_rng(6)
+    w = {
+        "normal": rng.normal(size=n * 6 + 36),
+        "ties": rng.integers(-1, 2, size=n * 6 + 36).astype(float),
+        "zero": np.zeros(n * 6 + 36),
+    }[weights]
+    E = batch.X @ w[:n * 6].reshape(n, 6)
+    T = w[n * 6:].reshape(6, 6)
+    labels, score = C._viterbi(E, T, batch)
+    ref_labels, ref_score = axis1_viterbi(E, T, batch)
+    assert np.array_equal(labels, ref_labels)
+    assert score.tobytes() == ref_score.tobytes()
 
 
 class TestMinimize:
