@@ -173,30 +173,14 @@ class LabelSequence:
         return self.labels[1:-1]
 
 
-def interior_labels(word: SegmentedWord) -> list[Label]:
-    """Each grapheme's label, without bookends or validation.
-
-    A singleton morpheme becomes S; a morpheme of k >= 2 graphemes becomes
-    B, M * (k - 2), E.
-    """
-    labels = []
-    for a, b in zip(word.cuts, word.cuts[1:]):
-        if b - a == 1:
-            labels.append(Label.S)
-        else:
-            labels.append(Label.B)
-            labels.extend([Label.M] * (b - a - 2))
-            labels.append(Label.E)
-    return labels
-
-
 def encode_labels(word: SegmentedWord) -> LabelSequence:
     """Encode a segmentation as labels, one per grapheme plus bookends.
 
-    The interior labels are :func:`interior_labels`; the result always has
-    ``grapheme_count + 2`` labels.
+    The interior labels are :func:`encode_starts` of the word's cuts; the
+    result always has ``grapheme_count + 2`` labels.
     """
-    return LabelSequence((Label.START, *interior_labels(word), Label.END))
+    interior = encode_starts(cut_slots([word])[:-1]).tolist()
+    return LabelSequence((Label.START, *interior, Label.END))
 
 
 def decode_labels(surface: str, labels: Sequence[Label] | LabelSequence) -> SegmentedWord:
@@ -252,8 +236,9 @@ def decode_starts(labels: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def encode_starts(starts: np.ndarray) -> np.ndarray:
-    """:func:`interior_labels` over many words at once, from whether a
-    morpheme starts at each of their positions, laid end to end."""
+    """The interior labels of many words at once, from whether a morpheme
+    starts at each of their positions, laid end to end: a singleton
+    morpheme becomes S, and one of k >= 2 graphemes B, M * (k - 2), E."""
     ends = np.append(starts[1:], True)
     return np.where(
         starts, np.where(ends, Label.S, Label.B), np.where(ends, Label.E, Label.M)
@@ -681,48 +666,26 @@ def generate_synthetic_corpus(spec: SyntheticSpec) -> Corpus:
             f"{capacity} stem+suffix combinations"
         )
     rng = np.random.default_rng(spec.seed)
-    words: list[SegmentedWord] = []
-    seen: set[str] = set()
-
     if capacity <= 500_000:
-        combos: list[tuple[str, ...]] = []
-        for stem in stems:
-            for k in ks:
-                for seq in itertools.product(sufs, repeat=k):
-                    combos.append((stem,) + seq)
-        exhausted = True
-        for idx in rng.permutation(len(combos)):
-            morphemes = combos[idx]
-            surface = "".join(morphemes)
-            if surface in seen:
-                continue
-            seen.add(surface)
-            words.append(SegmentedWord(surface=surface, morphemes=morphemes))
-            if len(words) == spec.num_words:
-                exhausted = False
-                break
-        if exhausted:
-            raise CapacityError(
-                f"inventory yields only {len(words)} distinct surfaces, "
-                f"requested {spec.num_words}"
-            )
+        combos = [
+            (stem, *seq) for stem in stems for k in ks for seq in itertools.product(sufs, repeat=k)
+        ]
+        draws = (combos[idx] for idx in rng.permutation(len(combos)))
+        shortfall = "inventory yields only {} distinct surfaces, requested {}"
     else:
-        max_draws = 200 * spec.num_words
-        for _ in range(max_draws):
-            stem = stems[int(rng.integers(len(stems)))]
-            k = int(rng.integers(spec.min_suffixes, spec.max_suffixes + 1))
-            seq = tuple(sufs[int(i)] for i in rng.integers(len(sufs), size=k))
-            morphemes = (stem,) + seq
-            surface = "".join(morphemes)
-            if surface in seen:
-                continue
-            seen.add(surface)
-            words.append(SegmentedWord(surface=surface, morphemes=morphemes))
+        def sampled() -> Iterator[tuple[str, ...]]:
+            for _ in range(200 * spec.num_words):
+                stem = stems[int(rng.integers(len(stems)))]
+                k = int(rng.integers(ks.start, ks.stop))
+                yield (stem, *(sufs[int(i)] for i in rng.integers(len(sufs), size=k)))
+
+        draws = sampled()
+        shortfall = "sampling produced {} distinct surfaces out of {} requested"
+    words: dict[str, SegmentedWord] = {}
+    for morphemes in draws:
+        surface = "".join(morphemes)
+        if surface not in words:
+            words[surface] = SegmentedWord(surface=surface, morphemes=morphemes)
             if len(words) == spec.num_words:
-                break
-        if len(words) < spec.num_words:
-            raise CapacityError(
-                f"sampling produced {len(words)} distinct surfaces out of "
-                f"{spec.num_words} requested"
-            )
-    return Corpus(tuple(words), spec.language_tag)
+                return Corpus(tuple(words.values()), spec.language_tag)
+    raise CapacityError(shortfall.format(len(words), spec.num_words))

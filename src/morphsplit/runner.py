@@ -42,8 +42,6 @@ import shutil
 import time
 import traceback
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -83,6 +81,7 @@ from .splitter import (
     ExperimentPlan,
     GridCell,
     build_grid,
+    check_capacity,
     derive_seed,
     grid_units,
 )
@@ -484,7 +483,8 @@ def _run_pooled(unit: _Unit) -> list[_Outcome]:
 
 def _load_corpora(config: RunConfig, launch_dir: str = "") -> list[tuple[str, Corpus]]:
     """(config path, corpus) of each corpus, a relative path read from
-    ``launch_dir``."""
+    ``launch_dir``. Raises :class:`CapacityError` for a corpus too small
+    for the grid, before any cell is computed."""
     out = []
     seen = set()
     for path in config.corpus_paths:
@@ -493,6 +493,7 @@ def _load_corpora(config: RunConfig, launch_dir: str = "") -> list[tuple[str, Co
             raise ConfigError(
                 f"duplicate language tag {corpus.language_tag!r} across corpora"
             )
+        check_capacity(len(corpus), config.fractions, config.residual_ratio)
         seen.add(corpus.language_tag)
         out.append((path, corpus))
     return out
@@ -529,7 +530,9 @@ def _execute(
     config: RunConfig, corpora: Sequence[tuple[str, Corpus]], units: Sequence[_Unit]
 ) -> Iterator[_Outcome]:
     """Run the given work units, inline or in a process pool; yields (key,
-    status, payload, s) as each cell (inline) or unit (pool) finishes.
+    status, payload, s) as each cell (inline) or unit (pool) finishes. A
+    unit lost to a broken pool yields each of its cells as failed, naming
+    the break; units that returned before it keep their outcomes.
 
     Either way a unit's splits are built right before its cells, in the
     process that computes them, so no grid is built up front. A pool hands
@@ -539,10 +542,25 @@ def _execute(
     """
     job = _Job({corpus.language_tag: corpus for _, corpus in corpora}, config)
     if config.parallelism > 1 and len(units) > 1:
-        with ProcessPoolExecutor(
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures.process import BrokenProcessPool
+
+        pool = ProcessPoolExecutor(
             max_workers=config.parallelism, initializer=_set_job, initargs=(job,)
-        ) as pool:
-            yield from (outcome for done in pool.map(_run_pooled, units) for outcome in done)
+        )
+        try:
+            futures = {pool.submit(_run_pooled, unit): unit for unit in units}
+            for future in as_completed(futures):
+                try:
+                    outcomes = future.result()
+                except BrokenProcessPool as exc:
+                    language, _, cell_ids = futures[future]
+                    error = f"BrokenProcessPool: {exc}"
+                    outcomes = [(f"{language}/{c}", "failed", error, 0.0) for c in cell_ids]
+                yield from outcomes
+        finally:
+            # a run that stops early, as on an error, starts no further unit
+            pool.shutdown(cancel_futures=True)
         return
     _set_job(job)
     try:
@@ -806,9 +824,8 @@ def _complete(ledger: RunLedger) -> RunLedger:
     coordinates, so splits are built only for the carves with a pending
     cell, and only those cells' residual splits. Each computed artifact is
     written as it arrives, between a ledger save listing the pending cells
-    and one after the last; a broken process pool fails the cells still
-    pending. Refuses with :class:`LedgerError` when a corpus file's content
-    no longer matches the digest the ledger recorded for it.
+    and one after the last. Refuses with :class:`LedgerError` when a corpus
+    file's content no longer matches the digest the ledger recorded for it.
     """
     config = ledger.config
     ledger.check_corpora()
@@ -830,19 +847,14 @@ def _complete(ledger: RunLedger) -> RunLedger:
             (f"{lang}/{c}", CellStatus("pending")) for lang, _, ids in todo for c in ids
         )
         ledger.save()
-        try:
-            for key, status, payload, seconds in _execute(config, corpora, todo):
-                if status == "done":
-                    write_json(ledger.artifact(key), payload)
-                    done[key] = _scored(payload)
-                    ledger.cells[key] = CellStatus("done", seconds)
-                else:
-                    logger.error("cell %s failed:\n%s", key, payload)
-                    ledger.cells[key] = CellStatus("failed", seconds, str(payload))
-        except BrokenProcessPool as exc:
-            logger.error("the worker pool broke; its pending cells failed: %s", exc)
-            for key in [k for k, s in ledger.cells.items() if s.status == "pending"]:
-                ledger.cells[key] = CellStatus("failed", error=f"BrokenProcessPool: {exc}")
+        for key, status, payload, seconds in _execute(config, corpora, todo):
+            if status == "done":
+                write_json(ledger.artifact(key), payload)
+                done[key] = _scored(payload)
+                ledger.cells[key] = CellStatus("done", seconds)
+            else:
+                logger.error("cell %s failed:\n%s", key, payload)
+                ledger.cells[key] = CellStatus("failed", seconds, str(payload))
     _, ledger.notes = _write_outputs(ledger, done)
     ledger.save()
     return ledger

@@ -660,6 +660,21 @@ def grid_units(
     return units
 
 
+def check_capacity(n: int, fractions: Sequence[Fraction], residual_ratio: Fraction) -> None:
+    """Raise :class:`CapacityError` if a grid with these new-test
+    ``fractions`` and ``residual_ratio`` would leave any cell of an
+    ``n``-word corpus an empty train, eval, or new-test set."""
+    for frac in fractions:
+        n_new = round(n * frac)
+        n_res = n - n_new
+        n_eval = round(n_res * share_b(residual_ratio)) if n_res > 0 else 0
+        if n_new < 1 or n_res - n_eval < 1 or n_eval < 1:
+            raise CapacityError(
+                f"fraction {frac} on {n} words would leave an empty train, "
+                "eval, or new-test set"
+            )
+
+
 def build_grid(
     corpus: Corpus,
     plan: ExperimentPlan,
@@ -687,16 +702,7 @@ def build_grid(
             raise DomainError(
                 f"residual strategy must be one of {GRID_STRATEGIES}, got {strategy!r}"
             )
-    n = len(corpus)
-    for frac in plan.new_test_fractions:
-        n_new = round(n * frac)
-        n_res = n - n_new
-        n_eval = round(n_res * share_b(plan.residual_ratio)) if n_res > 0 else 0
-        if n_new < 1 or n_res - n_eval < 1 or n_eval < 1:
-            raise CapacityError(
-                f"fraction {frac} on {n} words would leave an empty train, "
-                "eval, or new-test set"
-            )
+    check_capacity(len(corpus), plan.new_test_fractions, plan.residual_ratio)
     generation = plan.new_test_generation
     cells = []
     for frac, s, unit in grid_units(plan, strategies):

@@ -159,15 +159,7 @@ def build_design_matrix(
 
 def student_t_cdf(t: float, dof: int) -> float:
     """P(T <= t) for Student's t with ``dof`` degrees of freedom."""
-    if dof < 1:
-        raise DomainError("dof must be >= 1")
-    if t == 0.0:
-        return 0.5
-    if math.isinf(t):
-        return 1.0 if t > 0 else 0.0
-    from scipy.special import betainc
-
-    tail = 0.5 * float(betainc(dof / 2.0, 0.5, dof / (dof + t * t)))
+    tail = 0.5 * two_sided_p(t, dof)
     return 1.0 - tail if t > 0 else tail
 
 

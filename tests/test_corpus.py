@@ -1,7 +1,10 @@
 """Corpus parsing, the label codec and repair rule, stats, synthetic data."""
 
+import hashlib
 import itertools
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from morphsplit.errors import (
     ValidationError,
 )
 
+DATA = Path(__file__).parent / "data"
 START, END, S, B, M, E = Label.START, Label.END, Label.S, Label.B, Label.M, Label.E
 
 
@@ -225,7 +229,7 @@ class TestManyWordCodec:
     @given(st.lists(words_strategy, min_size=1, max_size=6))
     def test_encode_starts_equals_interior_labels(self, words):
         starts = C.cut_slots(words)[:-1]
-        want = [lab for w in words for lab in C.interior_labels(w)]
+        want = [lab for w in words for lab in C.encode_labels(w).interior()]
         assert C.encode_starts(starts).tolist() == want
 
 
@@ -323,6 +327,24 @@ class TestSynthetic:
         path = tmp_path / "synth.tsv"
         C.write_corpus(corpus, path)
         assert C.parse_corpus(path, language_tag="synthetic") == corpus
+
+    def test_pinned_corpora(self):
+        # both draw paths (a permutation of every combination up to a
+        # capacity of 500,000, sampling above it) and each shortfall
+        pinned = json.loads((DATA / "synthetic_corpora_v1.json").read_text())["corpora"]
+        for entry in pinned:
+            spec = C.SyntheticSpec(**{
+                k: tuple(v) if isinstance(v, list) else v for k, v in entry["spec"].items()
+            })
+            if "error" in entry:
+                with pytest.raises(CapacityError) as info:
+                    C.generate_synthetic_corpus(spec)
+                assert str(info.value) == entry["error"]
+                continue
+            corpus = C.generate_synthetic_corpus(spec)
+            text = "".join(f"{w.surface}\t{' '.join(w.morphemes)}\n" for w in corpus)
+            assert len(corpus) == entry["words"]
+            assert hashlib.sha256(text.encode()).hexdigest() == entry["sha256"], entry["spec"]
 
     def test_capacity_error(self):
         spec = C.SyntheticSpec(

@@ -1,9 +1,10 @@
-"""scipy is imported inside the functions that call it, not at module top.
+"""scipy and the process pool are imported inside the functions that call
+them, not at module top.
 
 Importing the package, and every command that trains no feature model and
 fits no regression, loads none of scipy's heavy submodules; the first call
 that does need one imports it and computes the same bits as a process that
-had it loaded already.
+had it loaded already. Only a pooled run loads the process pool's modules.
 """
 
 import hashlib
@@ -21,6 +22,7 @@ from morphsplit.stats import ols_fit, student_t_cdf
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY = {"scipy.optimize", "scipy.sparse", "scipy.linalg", "scipy.special"}
+POOL = {"concurrent.futures.process", "multiprocessing"}
 
 
 def python(*args, cwd=None):
@@ -62,6 +64,16 @@ def test_synth_and_random_split_load_no_heavy_scipy_module(tmp_path):
     assert (tmp_path / "split.json").exists()
     assert "morphsplit.cli" in synth and "morphsplit.splitter" in split
     assert not (synth | split) & HEAVY
+
+
+def test_package_import_synth_and_random_split_load_no_pool_module(tmp_path):
+    corpus = tmp_path / "c.tsv"
+    package = loaded("-c", "import json, sys, morphsplit; print(json.dumps(sorted(sys.modules)))")
+    synth = loaded("-c", RUN_CLI, "synth", "--output", str(corpus), "--words", "40", cwd=tmp_path)
+    split = loaded("-c", RUN_CLI, "split", "--corpus", str(corpus), "--strategy", "random",
+                   "--output", str(tmp_path / "split.json"), cwd=tmp_path)
+    assert "morphsplit.runner" in package and "morphsplit.splitter" in split
+    assert not (package | synth | split) & POOL
 
 
 CRF_WEIGHTS = """

@@ -23,7 +23,7 @@ from morphsplit import cli
 from morphsplit import corpus as C
 from morphsplit import runner as R
 from morphsplit import splitter as S
-from morphsplit.errors import ConfigError, DomainError, LedgerError
+from morphsplit.errors import CapacityError, ConfigError, DomainError, LedgerError
 from morphsplit.evaluation import DEFAULT_COLLAPSE_EPSILON, CellResult, aggregate_rows
 from morphsplit.models import FeatureTable, FeatureTemplate, TrainConfig
 
@@ -32,6 +32,14 @@ def write_synthetic(path, n=60, seed=3):
     spec = C.SyntheticSpec(num_words=n, seed=seed)
     C.write_corpus(C.generate_synthetic_corpus(spec), path)
     return str(path)
+
+
+# three languages of different sizes and inventories
+THREE_LANGUAGES = {
+    "aaa": C.SyntheticSpec(120, 12, 6, 1, 2, seed=1),
+    "bbb": C.SyntheticSpec(80, 30, 10, 0, 1, seed=2),
+    "ccc": C.SyntheticSpec(150, 8, 4, 1, 3, seed=3),
+}
 
 
 # small but non-degenerate: 2 gens x 2 strategies x 1 fraction x 1 sample
@@ -517,6 +525,16 @@ class TestCorpusChanges:
         R.run_experiment(make_config(fresh, tmp_path / "third"))
         assert csv_bytes(tmp_path / "second") == csv_bytes(tmp_path / "third")
 
+    def test_grid_too_large_for_a_corpus_is_refused_before_the_ledger(self, tmp_path):
+        path = write_synthetic(tmp_path / "c.tsv", n=50)
+        cfg = make_config(
+            path, tmp_path / "run", fractions=(Fraction(1, 2),), models=("longest_match",),
+            residual_ratio="60:1",
+        )
+        with pytest.raises(CapacityError, match="fraction 1/2 on 50 words"):
+            R.run_experiment(cfg)
+        assert not (tmp_path / "run" / "ledger.json").exists()
+
     def test_resume_and_report_refuse_a_changed_corpus(self, tmp_path):
         # the corpus file is rewritten under a finished run and one cell is
         # lost: resuming would score that cell on the new words and report
@@ -565,6 +583,29 @@ class TestDeterminism:
         R.run_experiment(serial)
         R.run_experiment(pooled)
         assert csv_bytes(serial.output_dir) == csv_bytes(pooled.output_dir)
+
+    def test_three_languages_agree_across_schedules_and_a_resume(self, tmp_path):
+        pinned = json.loads(
+            (Path(__file__).parent / "data" / "three_languages_v1.json").read_text()
+        )["files"]
+        paths = []
+        for name, spec in THREE_LANGUAGES.items():
+            paths.append(tmp_path / f"{name}.tsv")
+            C.write_corpus(C.generate_synthetic_corpus(spec), paths[-1])
+        runs = []
+        for parallelism in (1, 2):
+            cfg = make_config(
+                paths[0], tmp_path / f"p{parallelism}", corpus_paths=tuple(map(str, paths)),
+                fractions=(Fraction(1, 5),), samples_per_fraction=2, parallelism=parallelism,
+            )
+            R.run_experiment(cfg)
+            runs.append(csv_bytes(cfg.output_dir))
+        next((Path(cfg.output_dir) / "cells" / "bbb").glob("*.json")).unlink()
+        assert R.resume(cfg.output_dir).failed_keys() == []
+        runs.append(csv_bytes(cfg.output_dir))
+        assert len(runs[0]) == 33
+        assert runs[0] == runs[1] == runs[2]
+        assert {name: hashlib.sha256(data).hexdigest() for name, data in runs[0].items()} == pinned
 
 
 class TestResume:
@@ -948,6 +989,54 @@ class TestRunLifecycle:
         assert len(ledger.failed_keys()) == 4 and ledger.done_keys() == []
         assert all("BrokenProcessPool" in s.error for s in ledger.cells.values())
         assert R.RunLedger.load(cfg.output_dir).cells == ledger.cells
+
+    def test_broken_pool_keeps_every_unit_that_returned(self, corpus_file, tmp_path):
+        # three one-cell units on two workers; the adapter kills the worker
+        # of the first unit once the run has written the second unit's artifact
+        script, log, switch = tmp_path / "adapter.py", tmp_path / "seeds.log", tmp_path / "kill"
+        cfg = make_config(
+            corpus_file, tmp_path / "run", parallelism=2,
+            fractions=(Fraction(1, 5),), samples_per_fraction=3,
+            new_test_generations=("random",), residual_strategies=("random",),
+            models=(f"external:{sys.executable} {script}",),
+        )
+        units = R._grid_units(cfg, R._load_corpora(cfg))
+        keys = [f"{lang}/{ids[0]}" for lang, _, ids in units]
+        seeds = {
+            key: str(S.derive_seed(cfg.master_seed, key.split("/")[1], cfg.models[0], 0))
+            for key in keys
+        }
+        returned = Path(cfg.output_dir) / "cells" / f"{keys[1]}.json"
+        script.write_text(
+            "import os, signal, sys, time\n"
+            "train, inp, out = sys.argv[1:4]\n"
+            "seed = os.environ['MORPHSPLIT_SEED']\n"
+            f"with open({str(log)!r}, 'a') as fh:\n"
+            "    fh.write(seed + '\\n')\n"
+            f"if seed == {seeds[keys[0]]!r} and os.path.exists({str(switch)!r}):\n"
+            "    deadline = time.time() + 30\n"
+            f"    while not os.path.exists({str(returned)!r}):\n"
+            "        assert time.time() < deadline\n"
+            "        time.sleep(0.02)\n"
+            "    os.kill(os.getppid(), signal.SIGKILL)\n"
+            "lines = open(inp).read().splitlines()\n"
+            "open(out, 'w').write(''.join(ln + '\\n' for ln in lines))\n"
+        )
+        switch.touch()
+        assert len(units) == 3 and all(len(ids) == 1 for _, _, ids in units)
+        ledger = R.run_experiment(cfg)
+        assert ledger.cells[keys[1]].status == "done" and returned.exists()
+        assert ledger.cells[keys[0]].status == "failed"
+        assert "BrokenProcessPool" in ledger.cells[keys[0]].error
+        for key in keys:
+            assert (ledger.cells[key].status == "done") == ledger.artifact(key).exists()
+        failed = ledger.failed_keys()
+        switch.unlink()
+        before = log.read_text().split()
+        resumed = R.resume(cfg.output_dir)
+        assert resumed.failed_keys() == [] and sorted(resumed.done_keys()) == sorted(keys)
+        recomputed = set(log.read_text().split()[len(before):])
+        assert recomputed == {seeds[key] for key in failed}
 
 
 class TestFailureIsolation:

@@ -68,6 +68,23 @@ class TestStudentT:
         with pytest.raises(DomainError):
             student_t_cdf(1.0, 0)
 
+    @pytest.mark.parametrize("dof", [1, 2, 5, 30, 1000])
+    def test_cdf_is_the_betainc_tail_bit_for_bit(self, dof):
+        from scipy.special import betainc
+
+        def reference(t):
+            # the tail written out on its own, with its own edge cases
+            if t == 0.0:
+                return 0.5
+            if math.isinf(t):
+                return 1.0 if t > 0 else 0.0
+            tail = 0.5 * float(betainc(dof / 2, 0.5, dof / (dof + t * t)))
+            return 1.0 - tail if t > 0 else tail
+
+        for t in (0.0, -0.0, math.inf, -math.inf, math.nan, 1e-300, 1e-8, 0.3, -0.3,
+                  1.7, -2.5, 6.0, -40.0, 1e6):
+            assert student_t_cdf(t, dof).hex() == reference(t).hex(), t
+
 
 class TestStars:
     @pytest.mark.parametrize(
