@@ -39,6 +39,7 @@ import json
 import logging
 import os
 import shutil
+import sys
 import time
 import traceback
 from collections import Counter
@@ -47,7 +48,7 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from tempfile import TemporaryDirectory
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .corpus import Corpus, WordTable, corpus_stats, parse_corpus
 from .errors import ConfigError, DomainError, LedgerError, SingularityError, ValidationError
@@ -279,24 +280,30 @@ class RunLedger(Record):
             )
         return ledger
 
-    def check_corpora(self) -> None:
-        """Refuse a run whose corpus files changed since it last read them.
+    def check_corpora(self, missing_ok: bool = True) -> dict[str, str]:
+        """Refuse a run whose corpus files changed since it last read them;
+        returns the sha256 of each corpus file read, by config path.
 
-        Only recorded digests of files that exist are compared: a ledger
-        written before digests were kept has none, and ``report`` needs no
-        corpus file, only the artifacts.
+        Each file is read once. By default only files that exist and have a
+        recorded digest are read: a ledger written before digests were kept
+        has none, and ``report`` needs no corpus file, only the artifacts.
+        Without ``missing_ok``, as for a run, every corpus file is read, and
+        a missing one raises :class:`OSError` naming it.
         """
-        for path, recorded in sorted(self.corpus_sha256.items()):
+        digests = {}
+        for path in self.config.corpus_paths:
             file = Path(self.launch_dir, path)
-            if not file.is_file():
+            recorded = self.corpus_sha256.get(path)
+            if missing_ok and (recorded is None or not file.is_file()):
                 continue
-            actual = _sha256(file)
-            if actual != recorded:
+            digests[path] = actual = _sha256(file)
+            if recorded is not None and actual != recorded:
                 raise LedgerError(
                     f"corpus {file} changed since the run read it (sha256 "
                     f"{actual[:12]} vs {recorded[:12]}); its cells were scored "
                     "on the old content, so start a new run"
                 )
+        return digests
 
 
 def _sha256(path: str | Path) -> str:
@@ -305,9 +312,10 @@ def _sha256(path: str | Path) -> str:
 
 @dataclass
 class _Job:
-    """What the cells one process computes share: the run's corpora by
-    language, its config, and each corpus's word table, built on its first
-    cell (a feature table when the run has a feature model)."""
+    """What the cells one process computes share: the corpora of the
+    languages with a pending cell, by language, the run's config, and each
+    corpus's word table, built on its first cell (a feature table when the
+    run has a feature model)."""
 
     corpora: dict[str, Corpus]
     config: RunConfig
@@ -325,6 +333,53 @@ _JOB: _Job | None = None
 def _set_job(job: _Job | None) -> None:
     global _JOB
     _JOB = job
+
+
+# What numpy's and scipy's bundled OpenBLAS builds export to set their
+# thread count (the 64-bit-integer build and the other).
+_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads")
+
+
+def _single_threaded_blas() -> None:
+    """Run BLAS on one thread in this process and the processes it starts.
+
+    Called before a pool starts its workers. Idle OpenBLAS threads spin, so
+    pool workers that each keep a BLAS thread per core slow one another
+    down. Each bundled OpenBLAS this process has loaded (in the
+    ``numpy.libs`` or ``scipy.libs`` directory of an imported package;
+    ``RTLD_NOLOAD`` maps no other) is set to one thread here, and forked
+    workers inherit the count. A library loaded later, such as scipy's on a
+    worker's first CRF training, reads ``OPENBLAS_NUM_THREADS``. The pin is
+    made here, not in each worker, and is not undone: in a forked worker
+    the call first rebuilds the library's thread pool, and raising the
+    count again here restarts this process's BLAS threads; either way new
+    threads spin while the workers compute. A library without a known
+    setter is named in a warning and left as it is.
+    """
+    import ctypes
+
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    if not hasattr(os, "RTLD_NOLOAD"):  # no POSIX dlopen (Windows)
+        return
+    for package in ("numpy", "scipy"):
+        module = sys.modules.get(package)
+        if module is None:
+            continue
+        for path in Path(module.__file__).parent.parent.glob(f"{package}.libs/*openblas*"):
+            try:
+                lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+            except OSError:  # not loaded in this process
+                continue
+            setter = next((getattr(lib, n) for n in _BLAS_THREAD_SETTERS if hasattr(lib, n)), None)
+            if setter is None:
+                logger.warning(
+                    "cannot set %s to one BLAS thread: it exports none of %s",
+                    path, ", ".join(_BLAS_THREAD_SETTERS),
+                )
+                continue
+            setter.argtypes = [ctypes.c_int]
+            setter.restype = None
+            setter(1)
 
 
 def _word_table(corpus: Corpus, template: FeatureTemplate, featurized: bool) -> WordTable:
@@ -481,21 +536,32 @@ def _run_pooled(unit: _Unit) -> list[_Outcome]:
     return list(_run_unit(unit))
 
 
-def _load_corpora(config: RunConfig, launch_dir: str = "") -> list[tuple[str, Corpus]]:
-    """(config path, corpus) of each corpus, a relative path read from
-    ``launch_dir``. Raises :class:`CapacityError` for a corpus too small
-    for the grid, before any cell is computed."""
-    out = []
+def _corpus_tags(config: RunConfig) -> list[tuple[str, str]]:
+    """(config path, language tag) of each corpus, read from no file: the
+    tag is the file stem, as :func:`parse_corpus` assigns it. Raises
+    :class:`ConfigError` when two corpora share a tag."""
+    pairs = [(path, Path(path).stem) for path in config.corpus_paths]
     seen = set()
-    for path in config.corpus_paths:
-        corpus = parse_corpus(Path(launch_dir, path))
-        if corpus.language_tag in seen:
-            raise ConfigError(
-                f"duplicate language tag {corpus.language_tag!r} across corpora"
-            )
-        check_capacity(len(corpus), config.fractions, config.residual_ratio)
-        seen.add(corpus.language_tag)
-        out.append((path, corpus))
+    for _, tag in pairs:
+        if tag in seen:
+            raise ConfigError(f"duplicate language tag {tag!r} across corpora")
+        seen.add(tag)
+    return pairs
+
+
+def _load_corpora(
+    config: RunConfig, launch_dir: str = "", languages: Collection[str] | None = None
+) -> list[tuple[str, Corpus]]:
+    """(config path, corpus) of each corpus of ``languages`` (every corpus
+    by default), a relative path read from ``launch_dir``. Raises
+    :class:`CapacityError` for a corpus too small for the grid, before any
+    cell is computed."""
+    out = []
+    for path, tag in _corpus_tags(config):
+        if languages is None or tag in languages:
+            corpus = parse_corpus(Path(launch_dir, path))
+            check_capacity(len(corpus), config.fractions, config.residual_ratio)
+            out.append((path, corpus))
     return out
 
 
@@ -514,13 +580,14 @@ def enumerate_cells(
     ]
 
 
-def _grid_units(config: RunConfig, corpora: Sequence[tuple[str, Corpus]]) -> list[_Unit]:
+def _grid_units(config: RunConfig, tags: Sequence[tuple[str, str]]) -> list[_Unit]:
     """Every work unit of the grid in order, one per (language,
-    generation, fraction, sample), i.e. per carve. Cell ids follow from the
-    coordinates alone; nothing is split here."""
+    generation, fraction, sample), i.e. per carve, from the (config path,
+    language tag) pairs of :func:`_corpus_tags`. Cell ids follow from the
+    coordinates alone; nothing is read or split here."""
     return [
-        (corpus.language_tag, generation, [cell_id for _, _, cell_id in cells])
-        for _, corpus in corpora
+        (tag, generation, [cell_id for _, _, cell_id in cells])
+        for _, tag in tags
         for generation in config.new_test_generations
         for _, _, cells in grid_units(config.plan(generation), config.residual_strategies)
     ]
@@ -545,6 +612,7 @@ def _execute(
         from concurrent.futures import ProcessPoolExecutor, as_completed
         from concurrent.futures.process import BrokenProcessPool
 
+        _single_threaded_blas()
         pool = ProcessPoolExecutor(
             max_workers=config.parallelism, initializer=_set_job, initargs=(job,)
         )
@@ -820,21 +888,19 @@ def _complete(ledger: RunLedger) -> RunLedger:
 
     A cell is done when its artifact decodes, whatever the ledger says: an
     artifact follows from the config (hash checked on load), the corpus
-    (digest checked here) and the cell key. Keys follow from the grid
-    coordinates, so splits are built only for the carves with a pending
-    cell, and only those cells' residual splits. Each computed artifact is
-    written as it arrives, between a ledger save listing the pending cells
-    and one after the last. Refuses with :class:`LedgerError` when a corpus
-    file's content no longer matches the digest the ledger recorded for it.
+    (digest checked here) and the cell key. Keys follow from the corpus
+    paths and grid coordinates, so each corpus file is read once, for its
+    digest, and only the languages with a pending cell are parsed; splits
+    are built only for the carves with a pending cell, and only those
+    cells' residual splits. Each computed artifact is written as it
+    arrives, between a ledger save listing the pending cells and one after
+    the last. Refuses with :class:`LedgerError` when a corpus file's
+    content no longer matches the digest the ledger recorded for it.
     """
     config = ledger.config
-    ledger.check_corpora()
-    corpora = _load_corpora(config, ledger.launch_dir)
-    ledger.corpus_sha256 = {
-        path: _sha256(Path(ledger.launch_dir, path)) for path in config.corpus_paths
-    }
+    units = _grid_units(config, _corpus_tags(config))
+    ledger.corpus_sha256 = ledger.check_corpora(missing_ok=False)
 
-    units = _grid_units(config, corpora)
     done = _read_done(ledger, (f"{lang}/{c}" for lang, _, ids in units for c in ids))
     for key in done.keys() - set(ledger.done_keys()):
         ledger.cells[key] = CellStatus("done")
@@ -843,6 +909,7 @@ def _complete(ledger: RunLedger) -> RunLedger:
     ]
     todo = [unit for unit in pending if unit[2]]
     if todo:
+        corpora = _load_corpora(config, ledger.launch_dir, {lang for lang, _, _ in todo})
         ledger.cells.update(
             (f"{lang}/{c}", CellStatus("pending")) for lang, _, ids in todo for c in ids
         )

@@ -553,6 +553,28 @@ class TestCorpusChanges:
         write_synthetic(path, seed=1)
         assert R.resume(cfg.output_dir).failed_keys() == []
 
+    def test_noop_resume_refuses_a_changed_corpus(self, tmp_path, parsed):
+        path = tmp_path / "synA.tsv"
+        write_synthetic(path, seed=1)
+        cfg = make_config(path, tmp_path / "run")
+        R.run_experiment(cfg)
+        write_synthetic(path, seed=2)
+        parsed.clear()
+        with pytest.raises(LedgerError, match=re.escape(str(path))):
+            R.resume(cfg.output_dir)
+        assert parsed == []
+
+    def test_noop_resume_fails_on_a_missing_corpus(self, tmp_path, capsys):
+        path = tmp_path / "synA.tsv"
+        write_synthetic(path)
+        cfg = make_config(path, tmp_path / "run")
+        R.run_experiment(cfg)
+        path.unlink()
+        with pytest.raises(OSError, match=re.escape(str(path))):
+            R.resume(cfg.output_dir)
+        assert cli.main(["resume", "--ledger", cfg.output_dir]) == 2
+        assert str(path) in capsys.readouterr().err
+
 
 @pytest.fixture()
 def split_calls(monkeypatch):
@@ -565,6 +587,19 @@ def split_calls(monkeypatch):
             return manifest
         monkeypatch.setattr(S, name, counted)
     return calls
+
+
+@pytest.fixture()
+def parsed(monkeypatch):
+    """The path of every corpus file the runner parses."""
+    paths = []
+
+    def counted(path, *args, _parse=R.parse_corpus, **kwargs):
+        paths.append(Path(path))
+        return _parse(path, *args, **kwargs)
+
+    monkeypatch.setattr(R, "parse_corpus", counted)
+    return paths
 
 
 class TestDeterminism:
@@ -584,7 +619,7 @@ class TestDeterminism:
         R.run_experiment(pooled)
         assert csv_bytes(serial.output_dir) == csv_bytes(pooled.output_dir)
 
-    def test_three_languages_agree_across_schedules_and_a_resume(self, tmp_path):
+    def test_three_languages_agree_across_schedules_and_a_resume(self, tmp_path, parsed):
         pinned = json.loads(
             (Path(__file__).parent / "data" / "three_languages_v1.json").read_text()
         )["files"]
@@ -600,8 +635,10 @@ class TestDeterminism:
             )
             R.run_experiment(cfg)
             runs.append(csv_bytes(cfg.output_dir))
-        next((Path(cfg.output_dir) / "cells" / "bbb").glob("*.json")).unlink()
+        shutil.rmtree(Path(cfg.output_dir) / "cells" / "bbb")
+        parsed.clear()
         assert R.resume(cfg.output_dir).failed_keys() == []
+        assert parsed == [paths[1]]
         runs.append(csv_bytes(cfg.output_dir))
         assert len(runs[0]) == 33
         assert runs[0] == runs[1] == runs[2]
@@ -649,6 +686,23 @@ class TestResume:
         split_calls.clear()
         R.resume(cfg.output_dir)
         assert split_calls == []
+
+    def test_finished_run_resumes_without_parsing(self, corpus_file, tmp_path, parsed, monkeypatch):
+        hashed = []
+
+        def counted(path, _sha256=R._sha256):
+            hashed.append(Path(path))
+            return _sha256(path)
+
+        monkeypatch.setattr(R, "_sha256", counted)
+        cfg = make_config(corpus_file, tmp_path / "run")
+        R.run_experiment(cfg)
+        assert parsed == [Path(corpus_file)]
+        parsed.clear()
+        hashed.clear()
+        assert R.resume(cfg.output_dir).failed_keys() == []
+        assert parsed == []
+        assert hashed == [Path(corpus_file)]
 
     def test_finished_run_resumes_without_a_word_table(self, corpus_file, tmp_path, monkeypatch):
         built = []
@@ -984,7 +1038,7 @@ class TestRunLifecycle:
             corpus_file, tmp_path / "run", parallelism=2,
             models=("longest_match", "external:sh -c 'kill -9 $PPID'"),
         )
-        assert len(R._grid_units(cfg, R._load_corpora(cfg))) == 2
+        assert len(R._grid_units(cfg, R._corpus_tags(cfg))) == 2
         ledger = R.run_experiment(cfg)
         assert len(ledger.failed_keys()) == 4 and ledger.done_keys() == []
         assert all("BrokenProcessPool" in s.error for s in ledger.cells.values())
@@ -1000,7 +1054,7 @@ class TestRunLifecycle:
             new_test_generations=("random",), residual_strategies=("random",),
             models=(f"external:{sys.executable} {script}",),
         )
-        units = R._grid_units(cfg, R._load_corpora(cfg))
+        units = R._grid_units(cfg, R._corpus_tags(cfg))
         keys = [f"{lang}/{ids[0]}" for lang, _, ids in units]
         seeds = {
             key: str(S.derive_seed(cfg.master_seed, key.split("/")[1], cfg.models[0], 0))
@@ -1037,6 +1091,77 @@ class TestRunLifecycle:
         assert resumed.failed_keys() == [] and sorted(resumed.done_keys()) == sorted(keys)
         recomputed = set(log.read_text().split()[len(before):])
         assert recomputed == {seeds[key] for key in failed}
+
+
+# Runs two units through the runner's process pool with a probe in place of
+# the unit runner. The probe trains a CRF in its worker, then returns the
+# thread count of each OpenBLAS the worker has loaded, read from its memory
+# map. The runner's warnings are kept. The parent loads no scipy module, so
+# scipy's OpenBLAS is first loaded in a worker, by the training.
+BLAS_PROBE = """
+import ctypes, json, logging, sys
+from pathlib import Path
+
+from morphsplit import SyntheticSpec, generate_synthetic_corpus
+from morphsplit import runner
+from morphsplit.models import TrainConfig, train_segmenter
+
+WARNINGS = []
+
+
+class Keep(logging.Handler):
+    def emit(self, record):
+        WARNINGS.append(record.getMessage())
+
+
+def probe(unit):
+    corpus = generate_synthetic_corpus(SyntheticSpec(40, seed=1))
+    train_segmenter("crf", corpus, config=TrainConfig(max_iterations=3))
+    threads = {}
+    for line in Path("/proc/self/maps").read_text().splitlines():
+        path = line.split()[-1]
+        if "openblas" not in Path(path).name or path in threads:
+            continue
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads"):
+            if hasattr(lib, name):
+                getter = getattr(lib, name)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                threads[path] = getter()
+                break
+        else:
+            threads[path] = None
+    return [(unit[0], "done", threads, 0.0)]
+
+
+if __name__ == "__main__":
+    assert "scipy.optimize" not in sys.modules
+    logging.getLogger("morphsplit.runner").addHandler(Keep())
+    runner._run_pooled = probe
+    config = runner.RunConfig(corpus_paths=("a.tsv",), output_dir="out", parallelism=2)
+    outcomes = runner._execute(config, [], [("a", "random", []), ("b", "random", [])])
+    print(json.dumps([[o[2] for o in outcomes], WARNINGS]))
+"""
+
+
+class TestPoolWorkers:
+    @pytest.mark.skipif(not Path("/proc/self/maps").is_file(), reason="needs /proc/self/maps")
+    def test_workers_run_each_loaded_openblas_on_one_thread(self, tmp_path):
+        script = tmp_path / "probe.py"
+        script.write_text(BLAS_PROBE)
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, str(script)], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        per_worker, warnings = json.loads(proc.stdout.splitlines()[-1])
+        assert len(per_worker) == 2
+        for threads in per_worker:
+            # numpy's, loaded before the pool started, and scipy's, loaded after
+            assert {Path(p).parent.name for p in threads} >= {"numpy.libs", "scipy.libs"}
+            for path, count in threads.items():
+                assert count == 1 or any(path in w for w in warnings), (path, count, warnings)
 
 
 class TestFailureIsolation:
