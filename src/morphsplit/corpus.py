@@ -18,6 +18,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property, lru_cache
@@ -464,9 +465,85 @@ class WordTable:
         return pieces
 
 
+class MorphemeRows:
+    """Words as integer morpheme-count rows, one per word.
+
+    Word ``i``'s distinct morpheme ids are ``ids[k * n + i]`` for slots
+    ``k < width`` and their counts ``cnts[k * n + i]``, padded to the
+    widest word with the id ``vocab_size`` of a morpheme type no word has,
+    at count 0. ``tots[i]`` is word i's token count, ``totals`` counts every
+    morpheme over all the words (0 for the padding type) and ``total`` is
+    their sum. Slot-major flat arrays make gathering the rows of many words
+    one fast 1-D take. Memory is O(n*K + V) for n words, K distinct
+    morphemes in the widest word and V morpheme types.
+
+    Every sum over morphemes is independent of their ids, so ids are any
+    numbering of the V types the words have: :meth:`subset` renumbers.
+    """
+
+    def __init__(self, ids: np.ndarray, cnts: np.ndarray, vocab_size: int) -> None:
+        # (width, n) arrays, each word's morphemes in its first slots
+        self.vocab_size = vocab_size
+        self.width, n = ids.shape
+        self.ids, self.cnts = ids.ravel(), cnts.ravel()
+        self.slot_start = (np.arange(self.width) * n)[:, None]
+        self.tots = cnts.sum(axis=0)
+        self.totals = self.counts(np.arange(n))
+        self.total = int(self.tots.sum())
+
+    def _slots(self, words: Sequence[int]) -> np.ndarray:
+        """The (slot, word) flat positions of the rows of ``words``. A
+        negative position counts from the end, as in a sequence, and one out
+        of range raises :class:`IndexError`."""
+        n = len(self.tots)
+        words = np.asarray(words, dtype=np.int64)
+        if words.size and not -n <= words.min() <= words.max() < n:
+            raise IndexError(f"word position out of range for {n} words")
+        return np.where(words < 0, words + n, words) + self.slot_start
+
+    def counts(self, words: Sequence[int]) -> np.ndarray:
+        """Token count of each morpheme id (and the padding id) over ``words``."""
+        slots = self._slots(words)
+        out = np.zeros(self.vocab_size + 1, dtype=np.int64)
+        np.add.at(out, self.ids[slots], self.cnts[slots])
+        return out
+
+    def subset(self, words: Sequence[int]) -> MorphemeRows:
+        """The rows of ``words``, in that order, by one gather: as wide as
+        the widest of them, and numbering only the morphemes they have."""
+        slots = self._slots(words)
+        ids, cnts = self.ids[slots], self.cnts[slots]
+        width = np.count_nonzero(cnts.any(axis=1))
+        ids, cnts = ids[:width], cnts[:width]
+        present = np.zeros(self.vocab_size + 1, dtype=bool)
+        present[ids] = True
+        present[-1] = False
+        # each present id's rank among them; the padding id gets their count
+        renumber = np.cumsum(present) - present
+        return MorphemeRows(renumber[ids], cnts, int(renumber[-1]))
+
+
+def count_morphemes(words: Sequence[SegmentedWord]) -> MorphemeRows:
+    """The morpheme-count rows of ``words``, morpheme ids in sorted order."""
+    vocab = sorted({m for w in words for m in w.morphemes})
+    index = {m: i for i, m in enumerate(vocab)}
+    counts = [Counter(index[m] for m in w.morphemes) for w in words]
+    width = max(map(len, counts), default=0)
+    ids = np.full((width, len(counts)), len(vocab), dtype=np.int64)
+    cnts = np.zeros((width, len(counts)), dtype=np.int64)
+    for word, c in enumerate(counts):
+        for k, i in enumerate(sorted(c)):
+            ids[k, word], cnts[k, word] = i, c[i]
+    return MorphemeRows(ids, cnts, len(vocab))
+
+
 @dataclass(frozen=True)
 class Corpus:
-    """An ordered collection of word types with pairwise distinct surfaces."""
+    """An ordered collection of word types with pairwise distinct surfaces.
+
+    Its :attr:`morpheme_rows` are counted on their first read, once per
+    corpus; a :meth:`subset`'s are gathered from its parent's.
+    """
 
     words: tuple[SegmentedWord, ...]
     language_tag: str = ""
@@ -490,7 +567,21 @@ class Corpus:
 
     def subset(self, indices: Sequence[int]) -> "Corpus":
         """Return a sub-corpus with the words at ``indices`` in that order."""
-        return Corpus(tuple(self.words[i] for i in indices), self.language_tag)
+        indices = tuple(indices)
+        sub = Corpus(tuple(self.words[i] for i in indices), self.language_tag)
+        # frozen: set directly, read by morpheme_rows
+        sub.__dict__["_parent"] = (self, indices)
+        return sub
+
+    @cached_property
+    def morpheme_rows(self) -> MorphemeRows:
+        """The words' morpheme-count rows, which every split distance and
+        adversarial search of this corpus reads."""
+        parent = self.__dict__.get("_parent")
+        if parent is None:
+            return count_morphemes(self.words)
+        corpus, indices = parent
+        return corpus.morpheme_rows.subset(indices)
 
 
 def parse_corpus(path: str | Path, language_tag: str | None = None) -> Corpus:

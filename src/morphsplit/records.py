@@ -24,6 +24,7 @@ import os
 from dataclasses import MISSING, fields
 from fractions import Fraction
 from functools import cache
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Annotated, Any, Callable, get_args, get_origin, get_type_hints
 
@@ -164,8 +165,65 @@ class Record:
         return cls(**_codec(cls).decode(data))
 
 
+#: Types whose values the C encoder writes exactly as ``json.dumps`` does.
+_LEAF_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
+@cache
+def _one_line(indent: str) -> Callable[[Any], str]:
+    """The C encoder's text of a value, the items of a container separated
+    by a comma and ``indent`` (a newline and spaces).
+
+    The encoder is made once per indent and checks no cycles, where
+    ``JSONEncoder.encode`` makes one per call.
+    """
+    if c_make_encoder is None:  # a Python built without the _json module
+        return json.JSONEncoder(sort_keys=True, separators=("," + indent, ": ")).encode
+    encode = c_make_encoder(
+        None, json.JSONEncoder().default, encode_basestring_ascii, None,
+        ": ", "," + indent, True, False, True,
+    )
+    return lambda value: "".join(encode(value, 0))
+
+
+def _json_text(value, indent: str) -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes
+    it on a line indented ``indent`` (a newline and spaces).
+
+    A container of leaves, such as a list of indices, is written by one call
+    of the C encoder; only containers of containers are walked here.
+    """
+    if isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("keys must be str")
+        brackets, children = "{}", value.values()
+    elif isinstance(value, (list, tuple)):
+        brackets, children = "[]", value
+    else:
+        return _one_line(indent)(value)
+    if not value:
+        return brackets
+    inner = indent + "  "
+    if set(map(type, children)) <= _LEAF_TYPES:
+        body = _one_line(inner)(value)[1:-1]
+    elif isinstance(value, dict):
+        body = ("," + inner).join(
+            f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
+            for key, item in sorted(value.items())
+        )
+    else:
+        body = ("," + inner).join(_json_text(item, inner) for item in value)
+    return f"{brackets[0]}{inner}{body}{indent}{brackets[1]}"
+
+
 def write_json(path: str | Path, data) -> None:
     """Write ``data`` as key-sorted, indented JSON, making its directory.
+
+    The bytes are those of ``json.dumps(data, sort_keys=True, indent=2)``
+    and a newline, for dicts with str keys, lists, tuples, str, int, float
+    and bool values and None; any other value raises :class:`TypeError`.
+    ``json.dumps`` encodes in pure Python when it indents, so each container
+    that holds no container is handed to the C encoder whole instead.
 
     The text goes to ``<path>.tmp``, which is renamed over ``path``: a
     reader sees the old file or the new one, and a write cut short leaves
@@ -174,5 +232,5 @@ def write_json(path: str | Path, data) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.tmp")
-    tmp.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    tmp.write_text(_json_text(data, "\n") + "\n", encoding="utf-8")
     os.replace(tmp, path)

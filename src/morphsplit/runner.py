@@ -391,7 +391,17 @@ def _word_table(corpus: Corpus, template: FeatureTemplate, featurized: bool) -> 
     return table
 
 
-def compute_cell(corpus: Corpus, cell: GridCell, config: RunConfig) -> dict:
+class CellPayload(dict):
+    """A cell's persistable payload, which keeps the :class:`CellResult`
+    it encodes as ``result``, so the run that computed it reads that
+    instead of decoding the payload's ``"result"`` again."""
+
+    def __init__(self, data: dict, result: CellResult) -> None:
+        super().__init__(data)
+        self.result = result
+
+
+def compute_cell(corpus: Corpus, cell: GridCell, config: RunConfig) -> CellPayload:
     """Train, segment, and score every model on one grid cell.
 
     Returns the persistable payload: the cell, its CellResult, and the
@@ -496,16 +506,16 @@ def compute_cell(corpus: Corpus, cell: GridCell, config: RunConfig) -> dict:
         for key in sorted(tables["boundary_eval"])
         for side in ("eval", "new")
     ]
-    return {
+    return CellPayload({
         "key": f"{corpus.language_tag}/{cell.cell_id}",
         "language_tag": corpus.language_tag,
         "cell": cell.to_dict(),
         "result": result.to_dict(),
         "records": records,
-    }
+    }, result)
 
 
-_Outcome = tuple[str, str, dict | str, float]
+_Outcome = tuple[str, str, CellPayload | str, float]
 
 # A work unit: (language, generation, the ids of the cells of one carve).
 _Unit = tuple[str, str, list[str]]
@@ -605,7 +615,8 @@ def _execute(
     process that computes them, so no grid is built up front. A pool hands
     the corpora this run parsed to each worker once, when the worker
     starts. Each process builds a corpus's word table at most once, on its
-    first cell of that corpus.
+    first cell of that corpus, and counts its morphemes once, on its first
+    split (see :attr:`Corpus.morpheme_rows`).
     """
     job = _Job({corpus.language_tag: corpus for _, corpus in corpora}, config)
     if config.parallelism > 1 and len(units) > 1:
@@ -816,10 +827,6 @@ def _plots_data_csv(out: Path, results: list[CellResult], config: RunConfig) -> 
 _Scored = tuple[CellResult, list[dict]]
 
 
-def _scored(payload: dict) -> _Scored:
-    return CellResult.from_dict(payload["result"]), payload["records"]
-
-
 def _read_done(ledger: RunLedger, keys: Iterable[str]) -> dict[str, _Scored]:
     """The cells of ``keys`` that have an artifact, each decoded, by key.
 
@@ -833,7 +840,8 @@ def _read_done(ledger: RunLedger, keys: Iterable[str]) -> dict[str, _Scored]:
         if not path.is_file():
             continue
         try:
-            done[key] = _scored(json.loads(path.read_text(encoding="utf-8")))
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            done[key] = CellResult.from_dict(payload["result"]), payload["records"]
         except DECODE_ERRORS as exc:
             logger.warning(
                 "ignoring damaged cell artifact %s (%s: %s)", path, type(exc).__name__, exc
@@ -917,7 +925,7 @@ def _complete(ledger: RunLedger) -> RunLedger:
         for key, status, payload, seconds in _execute(config, corpora, todo):
             if status == "done":
                 write_json(ledger.artifact(key), payload)
-                done[key] = _scored(payload)
+                done[key] = payload.result, payload["records"]
                 ledger.cells[key] = CellStatus("done", seconds)
             else:
                 logger.error("cell %s failed:\n%s", key, payload)

@@ -32,7 +32,7 @@ from typing import Container, Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, SegmentedWord
+from .corpus import Corpus, MorphemeRows, SegmentedWord
 from .errors import CapacityError, DomainError, SplitError, ValidationError
 from .records import Ratio, Record, as_fraction, format_ratio, parse_ratio, write_json  # noqa: F401
 
@@ -115,19 +115,30 @@ def split_distance(
 ) -> float:
     """Correctly rounded total variation distance between two sides.
 
-    Morpheme counts are integers, so the exact rational distance is formed
-    first and rounded to float once. Distances of different partitions of
+    The sides' morpheme counts come from the corpus's morpheme rows
+    (:attr:`Corpus.morpheme_rows`), and the distance by the one rule every
+    manifest distance follows (see ``_distance``): the exact integer
+    numerator, rounded to float once. Distances of different partitions of
     the same corpus therefore compare in the same order as their exact
     values, which keeps manifest distances from different strategies
     mutually comparable.
     """
-    c_a = Counter(m for i in side_a for m in corpus[i].morphemes)
-    c_b = Counter(m for i in side_b for m in corpus[i].morphemes)
-    if not c_a or not c_b:
+    if not len(side_a) or not len(side_b):
         raise DomainError("split_distance needs two non-empty sides")
-    t_a, t_b = sum(c_a.values()), sum(c_b.values())
-    num = sum(abs(c_a[m] * t_b - c_b[m] * t_a) for m in set(c_a) | set(c_b))
-    return num / (2 * t_a * t_b)
+    rows = corpus.morpheme_rows
+    c_a, c_b = rows.counts(side_a), rows.counts(side_b)
+    t_a, t_b = int(c_a.sum()), int(c_b.sum())
+    # each term is at most t_a*t_b and they sum to at most 2*t_a*t_b
+    if t_a * t_b >= _INT64_SCORES:
+        c_a, c_b = c_a.astype(object), c_b.astype(object)
+    return _distance(int(np.abs(c_a * t_b - c_b * t_a).sum()), t_a, t_b)
+
+
+def _distance(score: int, t_a: int, t_b: int) -> float:
+    """The distance ``score / (2 * t_a * t_b)`` of the integer score
+    ``sum_m |cA[m]*TB - cB[m]*TA|`` of sides of t_a and t_b tokens, in
+    Python integers, rounded once."""
+    return score / (2 * t_a * t_b)
 
 
 @dataclass(frozen=True)
@@ -202,9 +213,7 @@ def _side_sizes(n: int, ratio: Fraction) -> int:
 def _seeded_sides(n: int, n_b: int, seed: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Deterministic random partition of range(n) into sides of n-n_b and n_b."""
     perm = np.random.default_rng(seed).permutation(n)
-    b = tuple(int(i) for i in np.sort(perm[:n_b]))
-    a = tuple(int(i) for i in np.sort(perm[n_b:]))
-    return a, b
+    return tuple(np.sort(perm[n_b:]).tolist()), tuple(np.sort(perm[:n_b]).tolist())
 
 
 def random_split(
@@ -235,48 +244,28 @@ def random_split(
 
 
 #: Swap comparisons multiply scores by side totals in int64 below this bound
-#: on ``max word tokens * corpus tokens**3``, in Python integers above it.
+#: on ``max word tokens * corpus tokens**3``, in Python integers above it; a
+#: split distance's products are int64 below it on ``TA * TB``.
 _INT64_SCORES = 2**62
 
 
-class _CountRows:
-    """The corpus as integer morpheme-count rows, one per word.
+def _search_rows(corpus: Corpus) -> tuple[MorphemeRows, bool]:
+    """The morpheme rows an adversarial search of ``corpus`` reads, and
+    whether its swap comparisons are exact in int64.
 
-    Word ``i``'s distinct morpheme ids are ``ids[k * n + i]`` for slots
-    ``k < width`` and their counts ``cnts[k * n + i]``, padded to the
-    widest word with the id ``V`` of a morpheme type no word has, at count
-    0; ``tots[i]`` is its token count and ``totals`` counts every morpheme
-    over the whole corpus (0 for the padding type). Slot-major flat arrays
-    make gathering the rows of many words one fast 1-D take. Memory is
-    O(n*K + V) for n words, K distinct morphemes in the widest word and V
-    morpheme types.
+    Both bounds use the corpus's own totals and its own count of morpheme
+    types, which a subset's rows number alone. Raises
+    :class:`DomainError` for a corpus too large for exact integer scoring.
     """
-
-    def __init__(self, corpus: Corpus):
-        vocab = sorted({m for w in corpus for m in w.morphemes})
-        index = {m: i for i, m in enumerate(vocab)}
-        counts = [Counter(index[m] for m in w.morphemes) for w in corpus]
-        self.vocab_size = len(vocab)
-        self.width = max(len(c) for c in counts)
-        ids = np.full((self.width, len(counts)), self.vocab_size, dtype=np.int64)
-        cnts = np.zeros((self.width, len(counts)), dtype=np.int64)
-        for word, c in enumerate(counts):
-            for k, i in enumerate(sorted(c)):
-                ids[k, word], cnts[k, word] = i, c[i]
-        self.ids, self.cnts = ids.ravel(), cnts.ravel()
-        self.slot_start = (np.arange(self.width) * len(counts))[:, None]
-        self.tots = cnts.sum(axis=0)
-        self.totals = np.zeros(self.vocab_size + 1, dtype=np.int64)
-        np.add.at(self.totals, self.ids, self.cnts)
-        self.total = int(self.tots.sum())
-        if self.total * self.total * max(self.vocab_size, 1) >= 2**62:
-            raise DomainError(
-                "corpus too large for exact integer split scoring "
-                f"({self.total} tokens, {self.vocab_size} morpheme types)"
-            )
-        # a swap's score change is below 3*tmax*T, its side-total product
-        # change below 2*tmax*T, and the scores below T**2 / 2
-        self.int64_exact = int(self.tots.max()) * self.total**3 < _INT64_SCORES
+    rows = corpus.morpheme_rows
+    if rows.total * rows.total * max(rows.vocab_size, 1) >= 2**62:
+        raise DomainError(
+            "corpus too large for exact integer split scoring "
+            f"({rows.total} tokens, {rows.vocab_size} morpheme types)"
+        )
+    # a swap's score change is below 3*tmax*T, its side-total product
+    # change below 2*tmax*T, and the scores below T**2 / 2
+    return rows, int(rows.tots.max()) * rows.total**3 < _INT64_SCORES
 
 
 class _SwapState:
@@ -298,11 +287,9 @@ class _SwapState:
     partition.
     """
 
-    def __init__(self, rows: _CountRows, side_a: np.ndarray):
-        self.rows = rows
-        self.c_a = np.zeros(rows.vocab_size + 1, dtype=np.int64)
-        slots = side_a + rows.slot_start
-        np.add.at(self.c_a, rows.ids[slots], rows.cnts[slots])
+    def __init__(self, rows: MorphemeRows, int64_exact: bool, side_a: np.ndarray):
+        self.rows, self.int64_exact = rows, int64_exact
+        self.c_a = rows.counts(side_a)
         self.t_a = int(rows.tots[side_a].sum())
         self.d_min = int(rows.tots.min() - rows.tots.max())
         self._s0 = np.empty(1 - 2 * self.d_min, dtype=np.int64)
@@ -357,7 +344,7 @@ class _SwapState:
         # overflow it and in Python integers beyond that
         diff = self._s0_at(d) + gain - self.score
         e = d * (self.t_b - self.t_a - d)
-        if not rows.int64_exact:
+        if not self.int64_exact:
             diff, e = diff.astype(object), e.astype(object)
         hits = (diff * (self.t_a * self.t_b) > e * self.score).nonzero()[0]
         return int(hits[0]) if len(hits) else None
@@ -455,11 +442,14 @@ def adversarial_split(
     reaches 1, or the shared evaluation ``budget`` runs out. One vector pass
     scores a run of consecutive pairs, which may span several side-a words
     (see ``_climb``), over padded slot-major morpheme-count rows (see
-    ``_CountRows`` and ``_SwapState``), in O(n*K + V) memory. Swaps and
-    terminal partitions are compared with exact integer arithmetic and
-    every manifest distance is the correctly rounded exact value, so the
-    result never scores below the random split with the same seed, not
-    even in the last bit.
+    :class:`MorphemeRows` and ``_SwapState``), in O(n*K + V) memory. The
+    rows are the corpus's :attr:`Corpus.morpheme_rows`: counted once per
+    corpus, and for a subset, such as a grid's residual, gathered from its
+    parent's. Swaps and terminal partitions are compared with exact integer
+    arithmetic and every manifest distance is the correctly rounded exact
+    value, formed as :func:`split_distance` forms it, so the result never
+    scores below the random split with the same seed, not even in the last
+    bit.
 
     Parameters
     ----------
@@ -472,7 +462,7 @@ def adversarial_split(
         raise DomainError("budget must be >= 0 or None")
     n = len(corpus)
     n_b = _side_sizes(n, ratio)
-    rows = _CountRows(corpus)
+    rows, int64_exact = _search_rows(corpus)
     used = 0
     best: tuple[int, int, int, tuple[int, ...], tuple[int, ...]] | None = None
 
@@ -481,7 +471,7 @@ def adversarial_split(
         side_a, side_b = (
             np.array(side, dtype=np.int64) for side in _seeded_sides(n, n_b, start_seed)
         )
-        state = _SwapState(rows, side_a)
+        state = _SwapState(rows, int64_exact, side_a)
         used = _climb(state, side_a, side_b, budget, used)
         candidate = (
             state.score,
@@ -506,8 +496,7 @@ def adversarial_split(
         indices_a=a,
         indices_b=b,
         target_ratio=ratio,
-        # the exact distance, rounded once, as split_distance forms it
-        achieved_distance=score / (2 * t_a * t_b),
+        achieved_distance=_distance(score, t_a, t_b),
         budget_used=used,
     )
 

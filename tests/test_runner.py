@@ -371,6 +371,61 @@ class TestSharedFeatures:
         assert made == []
 
 
+class TestSharedMorphemeRows:
+    """Each process counts a language's morphemes once, for all its splits."""
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_run_counts_each_language_once_per_process(self, tmp_path, monkeypatch, parallelism):
+        # a log file, since pool workers count in processes of their own
+        log = tmp_path / "counted.log"
+
+        def counted(words, _count=C.count_morphemes):
+            with log.open("a") as fh:
+                fh.write(f"{os.getpid()} {words[0].surface}\n")
+            return _count(words)
+
+        monkeypatch.setattr(C, "count_morphemes", counted)
+        paths = [
+            write_synthetic(tmp_path / "synA.tsv", seed=3),
+            write_synthetic(tmp_path / "synB.tsv", seed=4),
+        ]
+        cfg = make_config(
+            paths[0], tmp_path / "run", corpus_paths=tuple(paths), samples_per_fraction=2,
+            parallelism=parallelism,
+        )
+        ledger = R.run_experiment(cfg)
+        assert ledger.failed_keys() == [] and len(ledger.cells) == 16
+        counts = Counter(tuple(line.split(" ", 1)) for line in log.read_text().splitlines())
+        # only whole corpora are counted, each at most once per process
+        assert set(counts.values()) == {1}
+        assert {word for _, word in counts} == {C.parse_corpus(p)[0].surface for p in paths}
+        processes = {pid for pid, _ in counts}
+        if parallelism == 1:
+            assert processes == {str(os.getpid())} and len(counts) == 2
+        else:
+            assert str(os.getpid()) not in processes
+
+
+class TestComputedResults:
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_run_reports_the_results_it_computed_without_decoding_them(
+        self, corpus_file, smoke_run, tmp_path, monkeypatch, parallelism
+    ):
+        with monkeypatch.context() as patched:
+            patched.setattr(CellResult, "from_dict", no_compute)
+            cfg = make_config(
+                corpus_file, tmp_path / "run", samples_per_fraction=2, parallelism=parallelism
+            )
+            ledger = R.run_experiment(cfg)
+        assert ledger.failed_keys() == [] and len(ledger.cells) == 8
+        before = csv_bytes(cfg.output_dir)
+        # a resume that recomputes nothing decodes every artifact instead
+        for name in ("aggregate.csv", "best_rankings.csv", "plots_data.csv"):
+            (Path(cfg.output_dir) / name).unlink()
+        R.resume(cfg.output_dir)
+        assert csv_bytes(cfg.output_dir) == before
+
+
 class TestSmokeRun:
     def test_all_cells_done_with_artifacts(self, smoke_run):
         cfg, ledger = smoke_run

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morphsplit import corpus as C
 from morphsplit import splitter as S
@@ -123,6 +125,15 @@ class TestSplitDistance:
         corpus = toy_corpus(n=4)
         with pytest.raises(DomainError):
             S.split_distance(corpus, (), (0, 1, 2, 3))
+
+    def test_positions_index_like_a_sequence(self):
+        corpus = toy_corpus(n=12, seed=2)
+        assert S.split_distance(corpus, (0, -1, -5), (1, 2)) == S.split_distance(
+            corpus, (0, 11, 7), (1, 2)
+        )
+        for side in ((0, 12), (-13, 1)):
+            with pytest.raises(IndexError):
+                S.split_distance(corpus, (3,), side)
 
 
 class TestRandomSplit:
@@ -350,7 +361,7 @@ class TestPinnedManifests:
         # the path taken when score times side-total products may pass int64
         monkeypatch.setattr(S, "_INT64_SCORES", 0)
         (case,) = [c for c in PINNED if c["name"] == name]
-        assert not S._CountRows(pinned_corpus(case["corpus"])).int64_exact
+        assert not S._search_rows(pinned_corpus(case["corpus"]))[1]
         assert pinned_split(case).to_dict() == case["manifest"]
 
     def test_wide_inventory_memory_is_bounded(self):
@@ -366,6 +377,155 @@ class TestPinnedManifests:
             tracemalloc.stop()
         assert peak < 16 * 2**20
         assert manifest.to_dict() == case["manifest"]
+
+
+def recounted(corpus):
+    """The same words, their morpheme rows counted from them alone."""
+    return C.Corpus(corpus.words, corpus.language_tag)
+
+
+def canonical_counts(rows):
+    """Word-by-morpheme counts with the morpheme columns in a canonical
+    order: equal for two tables of the same words, whatever their ids."""
+    n = len(rows.tots)
+    dense = np.zeros((n, rows.vocab_size + 1), dtype=np.int64)
+    np.add.at(dense, (np.tile(np.arange(n), rows.width), rows.ids), rows.cnts)
+    assert not dense[:, -1].any()
+    dense = dense[:, :-1]
+    return dense[:, np.lexsort(dense)]
+
+
+def exact_distance(corpus, a, b):
+    c_a = Counter(m for i in a for m in corpus[i].morphemes)
+    c_b = Counter(m for i in b for m in corpus[i].morphemes)
+    t_a, t_b = sum(c_a.values()), sum(c_b.values())
+    return Fraction(sum(abs(c_a[m] * t_b - c_b[m] * t_a) for m in c_a | c_b), 2 * t_a * t_b)
+
+
+# words over a small inventory that repeats morphemes within a word
+inventory_words = st.lists(
+    st.lists(st.sampled_from(("ka", "lo", "mi", "s", "t", "ru")), min_size=1, max_size=4),
+    min_size=2, max_size=24,
+).map(lambda pieces: C.Corpus(tuple({
+    "".join(p): C.SegmentedWord("".join(p), tuple(p)) for p in pieces
+}.values()))).filter(lambda corpus: len(corpus) >= 2)
+
+
+class TestMorphemeRows:
+    """A corpus's rows are counted once; a subset's are gathered from its
+    parent's, and give every search what rows counted from its own words
+    give it."""
+
+    @pytest.mark.parametrize("case", range(12))
+    def test_subset_rows_are_the_rows_of_its_words(self, case):
+        rng = np.random.default_rng(case)
+        corpus = toy_corpus(
+            n=int(rng.integers(8, 60)), seed=case, stems=int(rng.integers(6, 20)),
+            suffixes=int(rng.integers(3, 8)),
+        )
+        picked = rng.permutation(len(corpus))[: int(rng.integers(1, len(corpus) + 1))]
+        # odd cases count positions from the end
+        sub = corpus.subset((picked - len(corpus) * (case % 2)).tolist())
+        for got in (sub.morpheme_rows, sub.subset(range(len(sub))).morpheme_rows):
+            want = recounted(sub).morpheme_rows
+            assert (got.width, got.vocab_size, got.total) == (want.width, want.vocab_size, want.total)
+            assert got.tots.tolist() == want.tots.tolist() == [len(w.morphemes) for w in sub]
+            assert sorted(got.totals.tolist()) == sorted(want.totals.tolist())
+            assert np.array_equal(canonical_counts(got), canonical_counts(want))
+            # padding trimmed to the subset's widest word, at the padding id
+            assert got.width == max(len(set(w.morphemes)) for w in sub)
+            assert got.vocab_size == len({m for w in sub for m in w.morphemes})
+            assert (got.ids[got.cnts == 0] == got.vocab_size).all()
+            assert got.cnts.reshape(got.width, -1)[-1].any()
+
+    @pytest.mark.parametrize("python_integers", [False, True])
+    @pytest.mark.parametrize("case", range(9))
+    def test_searches_on_a_subset_match_searches_on_its_words(
+        self, case, python_integers, monkeypatch
+    ):
+        if python_integers:
+            monkeypatch.setattr(S, "_INT64_SCORES", 0)
+        rng = np.random.default_rng(100 + case)
+        corpus = toy_corpus(
+            n=int(rng.integers(20, 44)), seed=case, stems=int(rng.integers(5, 12)),
+            suffixes=int(rng.integers(3, 6)),
+        )
+        residual = sorted(rng.permutation(len(corpus))[: int(rng.integers(10, 18))].tolist())
+        sub = corpus.subset(residual)
+        assert S._search_rows(sub)[1] is not python_integers
+        ratio = (Fraction(9), Fraction(4), Fraction(1))[case % 3]
+        budget = (0, 7, None)[case // 3]
+        adversarial = S.adversarial_split(sub, ratio, case, budget=budget)
+        assert adversarial == S.adversarial_split(recounted(sub), ratio, case, budget=budget)
+        assert S.random_split(sub, ratio, case) == S.random_split(recounted(sub), ratio, case)
+
+    def test_a_search_on_a_subset_reaching_distance_one(self):
+        corpus = C.Corpus(two_family_corpus().words + tuple(
+            C.SegmentedWord(a + b, (a, b)) for a, b in itertools.permutations(("zg", "zh", "zi"), 2)
+        ))
+        sub = corpus.subset(range(12))
+        got = S.adversarial_split(sub, Fraction(1), seed=3, budget=None)
+        assert got.achieved_distance == 1.0
+        assert got == S.adversarial_split(recounted(sub), Fraction(1), seed=3, budget=None)
+
+    @pytest.mark.parametrize("generation", S.GRID_STRATEGIES)
+    def test_grid_on_gathered_rows_matches_grid_on_counted_rows(self, generation, monkeypatch):
+        corpus = toy_corpus(n=50, seed=9, stems=14, suffixes=5)
+        plan = S.ExperimentPlan(
+            new_test_fractions=(Fraction(1, 5), Fraction(2, 5)), samples_per_fraction=2,
+            residual_splits=2, new_test_generation=generation, master_seed=4,
+            adversarial_budget=300,
+        )
+        (_, _, unit), *_ = S.grid_units(plan, S.GRID_STRATEGIES)
+        gathered = S.build_grid(corpus, plan, S.GRID_STRATEGIES)
+        one_unit = S.build_grid(corpus, plan, S.GRID_STRATEGIES, {c for _, _, c in unit})
+        monkeypatch.setattr(C.Corpus, "subset", lambda self, indices: recounted(
+            C.Corpus(tuple(self.words[i] for i in indices), self.language_tag)
+        ))
+        assert gathered == S.build_grid(corpus, plan, S.GRID_STRATEGIES)
+        assert one_unit == gathered[: len(unit)]
+
+    @pytest.mark.parametrize("scale", [1, 2**11, 2**12, 2**22, 2**24])
+    def test_search_bounds_use_the_subsets_own_totals_and_types(self, scale):
+        # every count times `scale`: int64 at the two smallest, Python
+        # integers at 2**12, the corpus refused and its subset not at 2**22,
+        # both refused at 2**24
+        corpus = toy_corpus(n=40, seed=4, stems=20, suffixes=6)
+        rows = corpus.morpheme_rows
+        corpus.__dict__["morpheme_rows"] = C.MorphemeRows(
+            rows.ids.reshape(rows.width, -1), rows.cnts.reshape(rows.width, -1) * scale,
+            rows.vocab_size,
+        )
+        sub = corpus.subset(range(0, 40, 3))
+        for words in (corpus, sub):
+            total = scale * sum(len(w.morphemes) for w in words)
+            types = len({m for w in words for m in w.morphemes})
+            widest = scale * max(len(w.morphemes) for w in words)
+            if total * total * types < 2**62:
+                assert S._search_rows(words)[1] == (widest * total**3 < 2**62)
+                continue
+            with pytest.raises(DomainError) as refused:
+                S.adversarial_split(words, Fraction(4), seed=0)
+            assert str(refused.value) == (
+                f"corpus too large for exact integer split scoring "
+                f"({total} tokens, {types} morpheme types)"
+            )
+
+    @settings(max_examples=80, deadline=None)
+    @given(corpus=inventory_words, data=st.data())
+    def test_distance_is_the_exact_fraction_rounded_once(self, corpus, data):
+        n = len(corpus)
+        picked = data.draw(st.permutations(range(n)))
+        cut = data.draw(st.integers(1, n - 1))
+        a, b = picked[:cut], picked[cut:]
+        want = float(exact_distance(corpus, a, b))
+        sub = corpus.subset(picked)
+        sub_a, sub_b = range(cut), range(cut, n)
+        with pytest.MonkeyPatch.context() as patched:
+            for bound in (S._INT64_SCORES, 0):
+                patched.setattr(S, "_INT64_SCORES", bound)
+                assert S.split_distance(corpus, a, b) == want
+                assert S.split_distance(sub, sub_a, sub_b) == want
 
 
 class TestHeuristicSplit:
